@@ -376,12 +376,7 @@ impl RoutingHarness {
     /// Build a harness over `topology` with default processor and simulator
     /// configuration.
     pub fn new(topology: Topology) -> RoutingHarness {
-        RoutingHarness::with_batch_interval(topology, SimDuration::from_millis(200))
-    }
-
-    /// Build a harness with a custom batch interval (the paper uses 200 ms).
-    pub fn with_batch_interval(topology: Topology, batch: SimDuration) -> RoutingHarness {
-        RoutingHarness::with_transport(topology, batch, None)
+        RoutingHarness::with_transport(topology, None)
     }
 
     /// Build a harness whose processors run the loss-tolerant reliable
@@ -392,21 +387,18 @@ impl RoutingHarness {
         topology: Topology,
         reliability: crate::processor::ReliabilityConfig,
     ) -> RoutingHarness {
-        RoutingHarness::with_transport(topology, SimDuration::from_millis(200), Some(reliability))
+        RoutingHarness::with_transport(topology, Some(reliability))
     }
 
-    /// Build a harness with an explicit batch interval and (optionally) the
-    /// reliable transport — the general constructor behind
-    /// [`RoutingHarness::new`] / [`RoutingHarness::with_batch_interval`] /
+    /// Build a harness with (optionally) the reliable transport — the
+    /// general constructor behind [`RoutingHarness::new`] /
     /// [`RoutingHarness::with_reliability`].
     pub fn with_transport(
         topology: Topology,
-        batch: SimDuration,
         reliability: Option<crate::processor::ReliabilityConfig>,
     ) -> RoutingHarness {
         let library = Arc::new(QueryLibrary::new());
         let mut config = ProcessorConfig::new(Arc::clone(&library));
-        config.batch_interval = batch;
         config.reliability = reliability;
         let apps = (0..topology.num_nodes()).map(|_| QueryProcessor::new(config.clone())).collect();
         let sim = Simulator::new(topology, apps, SimConfig::default());
@@ -1114,7 +1106,7 @@ mod tests {
         harness.sim_mut().inject(
             SimTime::from_secs(5),
             n(0),
-            NetMsg::Tuples { qid, seq: None, items: vec![suppress], provs: Vec::new() },
+            NetMsg::Tuples { qid, seq: None, batch: vec![(suppress, None)] },
         );
         harness.run_until(SimTime::from_secs(10));
         let best = harness.sim().app(n(0)).tuples(qid, "best");

@@ -20,8 +20,14 @@
 //!   that query dissemination only needs to flood an identifier.
 //! * [`processor`] — the [`QueryProcessor`] node application: batching,
 //!   semi-naïve incremental recomputation on base-table updates (paper §8),
-//!   aggregate selections (§7.1), multi-query sharing through the
-//!   `bestPathCache` table (§7.3), and forwarding-state installation.
+//!   multi-query sharing through the `bestPathCache` table (§7.3), and
+//!   forwarding-state installation. It is the dataflow core; four private
+//!   sibling modules hold what the dataflow is built from and re-export
+//!   their public names through it: `wire` (the [`NetMsg`] vocabulary and
+//!   its byte accounting), `transport` (the sans-IO reliable-stream state
+//!   machine), `admission` (aggregate selections, §7.1, with the §8
+//!   tombstone/revival rules) and `lifecycle` (per-query state, install,
+//!   teardown, lazy repair).
 //! * [`harness`] — glue for experiments: build a simulator over a topology,
 //!   issue queries through the fluent [`IssueBuilder`], and observe typed
 //!   results, convergence, and communication statistics through
@@ -82,11 +88,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod harness;
+mod lifecycle;
 pub mod localize;
 pub mod processor;
 pub mod query;
 pub mod scenario;
+mod stats;
+mod transport;
+mod wire;
 
 pub use dr_provenance::{
     diff_explanations, DerivationStep, DerivationTree, ExplanationDiff, ProvId, ProvRecord,

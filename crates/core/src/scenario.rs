@@ -377,7 +377,6 @@ pub struct ScenarioRun {
 #[must_use = "a scenario only runs when run()/execute() is called"]
 pub struct ScenarioBuilder {
     topology: Topology,
-    batch_interval: SimDuration,
     queries: Vec<QueryDef>,
     events: Vec<TimelineEvent<NetMsg>>,
     sample_every: SimDuration,
@@ -396,7 +395,6 @@ impl ScenarioBuilder {
     pub fn over(topology: Topology) -> ScenarioBuilder {
         ScenarioBuilder {
             topology,
-            batch_interval: SimDuration::from_millis(200),
             queries: Vec::new(),
             events: Vec::new(),
             sample_every: SimDuration::from_secs(1),
@@ -428,12 +426,6 @@ impl ScenarioBuilder {
     /// faults — e.g. to measure its overhead on a clean wire).
     pub fn reliability(mut self, config: ReliabilityConfig) -> Self {
         self.reliability = Some(config);
-        self
-    }
-
-    /// Override the processors' batch interval (the paper uses 200 ms).
-    pub fn batch_interval(mut self, batch: SimDuration) -> Self {
-        self.batch_interval = batch;
         self
     }
 
@@ -609,8 +601,7 @@ impl Scenario {
         let mut events = spec.events;
         events.sort_by_key(|e| e.time()); // stable: same-time events keep source order
 
-        let mut harness =
-            RoutingHarness::with_transport(spec.topology, spec.batch_interval, spec.reliability);
+        let mut harness = RoutingHarness::with_transport(spec.topology, spec.reliability);
         if let Some(plan) = spec.fault_plan {
             harness.set_fault_plan(plan);
         }

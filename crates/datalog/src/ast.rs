@@ -405,6 +405,20 @@ impl AggFunc {
     pub fn is_monotonic_selection(self) -> bool {
         matches!(self, AggFunc::Min | AggFunc::Max)
     }
+
+    /// The aggregate's preference between two values: `Less` when `a` is the
+    /// better one (smaller under `min`, larger under `max`), `Equal` on a
+    /// tie — and always for `count`/`sum`, which prefer nothing. This is the
+    /// one definition of "at least as good" every aggregate-selection gate
+    /// shares: a candidate survives its group's best `b` iff
+    /// `rank(a, b) != Greater`.
+    pub fn rank(self, a: &Value, b: &Value) -> std::cmp::Ordering {
+        match self {
+            AggFunc::Min => a.compare_numeric(b),
+            AggFunc::Max => a.compare_numeric(b).reverse(),
+            AggFunc::Count | AggFunc::Sum => std::cmp::Ordering::Equal,
+        }
+    }
 }
 
 impl fmt::Display for AggFunc {

@@ -1999,16 +1999,7 @@ impl Evaluator {
                             let tie_at_infinity =
                                 value.is_infinite_cost() && existing.is_infinite_cost();
                             let keep = !tie_at_infinity
-                                && match sel.func {
-                                    AggFunc::Min => {
-                                        value.compare_numeric(existing)
-                                            != std::cmp::Ordering::Greater
-                                    }
-                                    AggFunc::Max => {
-                                        value.compare_numeric(existing) != std::cmp::Ordering::Less
-                                    }
-                                    _ => true,
-                                };
+                                && sel.func.rank(value, existing) != std::cmp::Ordering::Greater;
                             if !keep {
                                 stats.tuples_pruned += 1;
                                 return;

@@ -288,13 +288,13 @@ impl RoutingService {
                     return self
                         .error(ErrorCode::BadRequest, format!("node {node} outside the topology"));
                 }
-                let items: Vec<_> = facts.iter().map(WireTuple::to_tuple).collect();
-                let count = items.len() as u32;
+                let batch: Vec<_> = facts.iter().map(|f| (f.to_tuple(), None)).collect();
+                let count = batch.len() as u32;
                 let at = self.harness.now();
                 self.harness.sim_mut().inject(
                     at,
                     NodeId::new(node),
-                    NetMsg::Tuples { qid, seq: None, items, provs: Vec::new() },
+                    NetMsg::Tuples { qid, seq: None, batch },
                 );
                 self.counters.facts_injected += u64::from(count);
                 Response::Injected { qid, count }

@@ -115,7 +115,7 @@ fn piggy_backed_install_derives_identical_bindings() {
     harness.sim_mut().inject(
         SimTime::ZERO,
         n(2),
-        NetMsg::Tuples { qid, seq: None, items: vec![link], provs: Vec::new() },
+        NetMsg::Tuples { qid, seq: None, batch: vec![(link, None)] },
     );
     harness.run_until(SimTime::from_secs(30));
 
@@ -153,7 +153,7 @@ fn stale_relation_id_is_rejected_on_receive() {
     harness.sim_mut().inject(
         SimTime::from_secs(10),
         n(1),
-        NetMsg::Tuples { qid, seq: None, items: vec![bogus.clone()], provs: Vec::new() },
+        NetMsg::Tuples { qid, seq: None, batch: vec![(bogus.clone(), None)] },
     );
     harness.run_until(SimTime::from_secs(20));
 
@@ -178,7 +178,7 @@ fn tuples_for_unknown_query_are_ignored() {
     harness.sim_mut().inject(
         SimTime::ZERO,
         n(1),
-        NetMsg::Tuples { qid: unknown, seq: None, items: vec![link], provs: Vec::new() },
+        NetMsg::Tuples { qid: unknown, seq: None, batch: vec![(link, None)] },
     );
     harness.run_to_quiescence();
     assert!(harness.sim().app(n(1)).installed_queries().is_empty());
