@@ -29,13 +29,13 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// tombstones, which reset this very counter.
 const REVIVE_QUIET_BATCHES: u32 = 2;
 
-/// Prune-map size below which dead groups are not swept.
-const SWEEP_FLOOR: usize = 64;
-
 /// Outcome of the admission check for one tuple.
 pub(crate) enum Verdict {
     /// Store/ship the tuple.
     Admit,
+    /// Store/ship the tuple — the ∞ tombstone of its prune group's recorded
+    /// best, whose prune entry was evicted with it.
+    Poisoned,
     /// A strictly better tuple for the prune group is already known.
     Dominated,
     /// An ∞-cost tombstone that invalidates nothing this node stored or
@@ -44,20 +44,16 @@ pub(crate) enum Verdict {
 }
 
 /// A revival request: `(input relation, its aggregate value field, required
-/// (field, value) bindings)` — see [`Admission::revive`].
+/// (field, value) bindings)` — see the `revive` field of [`Admission`].
 type ReviveRequest = (RelId, usize, Vec<(usize, Value)>);
 
 /// Aggregate-selection state of one installed query.
 #[derive(Default)]
 pub(crate) struct Admission {
     /// (input relation, prune key) → (identity key of current best, its
-    /// value). Bounded: entries of dead groups are swept (see
-    /// [`Admission::evict_dead_groups`]).
+    /// value). Every recorded best is finite: the tombstone that poisons
+    /// one evicts the entry, so dead groups do not accumulate under churn.
     prune: HashMap<(RelId, Vec<Value>), (Vec<Value>, Value)>,
-    /// Number of `prune` entries whose recorded best is an ∞ tombstone, so
-    /// the sweep can be skipped entirely (steady state holds thousands of
-    /// finite entries and zero tombstones).
-    prune_tombstones: usize,
     /// Prune groups whose recorded best was just poisoned to ∞.
     /// Semi-naïve evaluation alone cannot repair such a group: the
     /// surviving alternatives are *stored* tuples, not deltas, so the joins
@@ -112,12 +108,10 @@ impl Admission {
         !self.revive.is_empty()
     }
 
-    /// True when `tuple` is the recorded, finite best of its prune group.
+    /// True when the tuple with this `identity` is the recorded best of its
+    /// prune group.
     fn is_live_best(&self, key: &(RelId, Vec<Value>), identity: &[Value]) -> bool {
-        matches!(
-            self.prune.get(key),
-            Some((best_id, best_val)) if best_id == identity && !best_val.is_infinite_cost()
-        )
+        self.prune.get(key).is_some_and(|(best_id, _)| best_id == identity)
     }
 
     /// The admission check. Keeps: updates of the current best (same
@@ -156,13 +150,16 @@ impl Admission {
             // wave is still active here — hold queued revivals back.
             self.poison_seen = true;
             let loc = program.catalog.location_field(tuple.rel());
-            // Tombstone of the group's shipped/stored best: record the ∞ so
-            // any finite alternative (other next hop) can take the slot,
-            // and let the invalidation propagate.
+            // Tombstone of the group's shipped/stored best: let the
+            // invalidation propagate, and evict the entry so any finite
+            // alternative (other next hop) is admitted fresh. Only this
+            // tombstone may evict: a finite entry can back a best that was
+            // *shipped* rather than stored here, and it is what lets exactly
+            // this derivation through the gate — dropping it any earlier
+            // would collapse a tombstone the remote home still needs.
+            // Further ∞ ties of the dead group still collapse through the
+            // stored-tuple check below.
             if self.is_live_best(&key, &identity) {
-                // Finite → ∞ transition of the group's recorded best: the
-                // entry becomes evictable once the wave has run.
-                self.prune_tombstones += 1;
                 // The group's surviving alternatives (other downstream
                 // continuations through this node) are stored state, not
                 // deltas — schedule a revival so a later batch re-derives
@@ -174,8 +171,8 @@ impl Admission {
                     .filter_map(|&g| tuple.field(g).cloned().map(|v| (g, v)))
                     .collect();
                 self.revive.insert((tuple.rel(), sel.value_field, bindings));
-                self.prune.insert(key, (identity, value));
-                return Verdict::Admit;
+                self.prune.remove(&key);
+                return Verdict::Poisoned;
             }
             // Tombstone addressed to a remote home: this node only derives
             // and forwards it — whether it invalidates anything is a fact
@@ -203,44 +200,9 @@ impl Admission {
             if *best_id != identity && sel.func.rank(&value, best_val) == Ordering::Greater {
                 return Verdict::Dominated;
             }
-            // `value` is finite here: a revived group stops being a
-            // tombstone.
-            if best_val.is_infinite_cost() {
-                self.prune_tombstones = self.prune_tombstones.saturating_sub(1);
-            }
         }
         self.prune.insert(key, (identity, value));
         Verdict::Admit
-    }
-
-    /// Evict prune entries of (destination, next-hop) groups whose route is
-    /// dead — the recorded best is an ∞-cost tombstone. Without this the
-    /// map grows monotonically under churn, one entry per route group the
-    /// deployment ever considered.
-    ///
-    /// Only ∞ entries are evictable. A finite entry may back a best that
-    /// was *shipped* rather than stored locally, and it is what lets the
-    /// next ∞ derivation for its group pass the gate in
-    /// [`Admission::check`] — dropping it would collapse a tombstone the
-    /// remote home still needs. An ∞ entry, by contrast, has already done
-    /// its job: the group's invalidation was admitted and propagated. After
-    /// eviction a finite revival of the group is simply admitted fresh (it
-    /// would have beaten ∞ anyway), and further ∞ ties still collapse
-    /// through the stored-tuple check, so recovery semantics are unchanged
-    /// while dead groups stop accumulating.
-    ///
-    /// Returns the number of entries evicted. The sweep only runs when the
-    /// map outgrows a small floor *and* actually holds tombstones, so
-    /// converged steady-state batches — all finite entries — never pay the
-    /// O(map) scan.
-    pub(crate) fn evict_dead_groups(&mut self) -> u64 {
-        if self.prune_tombstones == 0 || self.prune.len() <= SWEEP_FLOOR {
-            return 0;
-        }
-        let before = self.prune.len();
-        self.prune.retain(|_, (_, value)| !value.is_infinite_cost());
-        self.prune_tombstones = 0;
-        (before - self.prune.len()) as u64
     }
 
     /// Start-of-batch bookkeeping for the revival gate; returns the stored
@@ -250,7 +212,7 @@ impl Admission {
     /// pending deltas (`idle`), meaning nothing arrived since the previous
     /// batch and the invalidation wave has passed this node. Reviving
     /// mid-wave would re-flood routes the in-flight poisons are about to
-    /// kill — and since most prune groups are ∞ during the wave, every
+    /// kill — and since most prune groups are evicted during the wave, every
     /// revived derivation would be admitted, stored, extended and shipped,
     /// re-exploring the path space the tombstone collapse exists to avoid.
     /// Idleness alone is necessary but not sufficient — see
@@ -292,7 +254,7 @@ impl Admission {
     /// group* are re-injected — at most one per surviving next hop. The
     /// store also holds every historically-admitted route (dominated
     /// alternatives are kept for exactly this kind of fallback), and during
-    /// an invalidation wave most groups are ∞, so re-injecting the full
+    /// an invalidation wave most groups are dead, so re-injecting the full
     /// per-destination history would re-explore the path space the
     /// tombstone-collapse design exists to avoid (the 16-node hub-failure
     /// budget test blows up ~200×). The group bests are sufficient: any

@@ -359,6 +359,7 @@ impl QueryProcessor {
         if instance.spec.aggregate_selections {
             match instance.admission.check(&program, &instance.db, &tuple, me) {
                 Verdict::Admit => {}
+                Verdict::Poisoned => self.stats.prune_evicted += 1,
                 Verdict::Dominated => {
                     self.stats.tuples_pruned += 1;
                     return;
@@ -614,11 +615,6 @@ impl QueryProcessor {
                 for (tuple, fired) in derived {
                     self.route_tuple(qid, tuple, fired, &mut out);
                 }
-            }
-            // The batch quiesced: retire prune-map state of dead groups, so
-            // churn cannot grow the map monotonically.
-            if let Some(instance) = self.instances.get_mut(&qid) {
-                self.stats.prune_evicted += instance.admission.evict_dead_groups();
             }
             self.flush(ctx, qid, out);
         }

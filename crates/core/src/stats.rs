@@ -19,11 +19,11 @@ pub struct ProcessorStats {
     /// Received tuples dropped because their relation tag is not bound by
     /// the query's symbol catalog (a stale or corrupt wire id).
     pub tuples_rejected: u64,
-    /// Aggregate-selection prune-state entries evicted because their
-    /// recorded best is an ∞-cost tombstone whose invalidation wave has run
-    /// (keeps the per-query prune map bounded under churn). Finite entries
-    /// are never evicted — they may back *shipped* bests whose next
-    /// tombstone must still pass the admission gate.
+    /// Aggregate-selection prune-state entries evicted because the ∞-cost
+    /// tombstone of their recorded best arrived (keeps the per-query prune
+    /// map bounded under churn). An entry is never evicted any earlier — it
+    /// may back a *shipped* best whose tombstone must still pass the
+    /// admission gate.
     pub prune_evicted: u64,
     /// Number of batch-processing rounds executed.
     pub batches: u64,
