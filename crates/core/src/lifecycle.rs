@@ -252,14 +252,9 @@ impl QueryProcessor {
         // a pair query — every node runs this, so nothing needs shipping);
         // and the neighbor table as `link` tuples.
         let links = self.neighbors.iter().map(|(&nb, &cost)| self.link_tuple(nb, cost));
-        let base: Vec<Tuple> = spec
-            .facts
-            .iter()
-            .cloned()
-            .chain(program_facts(&spec.program, self.node))
-            .chain(links)
-            .collect();
-        self.ingest(ctx, qid, base.into_iter().map(|t| (t, None)));
+        let facts = spec.facts.iter().cloned().chain(program_facts(&spec.program, self.node));
+        let base: Vec<_> = facts.chain(links).map(|t| (t, None)).collect();
+        self.ingest(ctx, qid, base);
         self.schedule_batch(ctx);
     }
 

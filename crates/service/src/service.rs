@@ -52,12 +52,14 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One subscription: a cursor plus the number of polls skipped while the
-/// session's outbox was full.
+/// One subscription: a cursor, the number of polls skipped while the
+/// session's outbox was full, and the number of results the subscriber
+/// currently holds (sent as added, not yet as removed).
 #[derive(Debug)]
 struct Subscription {
     cursor: ResultCursor,
     missed: u64,
+    held: usize,
 }
 
 /// Per-session state.
@@ -322,7 +324,9 @@ impl RoutingService {
             return self.error(ErrorCode::UnknownQuery, format!("no live query {qid}"));
         }
         let session = self.sessions.get_mut(&sid).expect("checked by apply");
-        session.subs.insert(qid, Subscription { cursor: ResultCursor::new(qid), missed: 0 });
+        session
+            .subs
+            .insert(qid, Subscription { cursor: ResultCursor::new(qid), missed: 0, held: 0 });
         Response::Subscribed { qid }
     }
 
@@ -334,30 +338,36 @@ impl RoutingService {
     }
 
     /// Poll every subscription whose session outbox has room; count a
-    /// missed round for the ones that don't.
+    /// missed round for the ones that don't. A subscription ends with its
+    /// query: once the query is torn down and the subscriber has been told
+    /// of the removal of every result it was ever sent (however many polls
+    /// the teardown flood took), it is dropped instead of being rescanned
+    /// on every tick forever.
     fn poll_subscriptions(&mut self) {
         let cap = self.config.subscriber_queue_cap;
         let now_millis = self.harness.now().as_millis_f64() as u64;
-        for session in self.sessions.values_mut() {
-            for (&qid, sub) in session.subs.iter_mut() {
-                if session.outbox.len() >= cap {
+        for Session { subs, outbox, .. } in self.sessions.values_mut() {
+            subs.retain(|&qid, sub| {
+                if outbox.len() >= cap {
                     sub.missed += 1;
-                    continue;
+                    return true;
                 }
                 let delta = sub.cursor.poll(&self.harness);
-                if sub.missed > 0 && !delta.is_empty() {
-                    session.outbox.push_back(Response::Lagged { qid, missed: sub.missed });
-                    sub.missed = 0;
-                }
                 if !delta.is_empty() {
-                    session.outbox.push_back(Response::Delta {
+                    if sub.missed > 0 {
+                        outbox.push_back(Response::Lagged { qid, missed: sub.missed });
+                        sub.missed = 0;
+                    }
+                    sub.held = sub.held + delta.added.len() - delta.removed.len();
+                    outbox.push_back(Response::Delta {
                         qid,
                         now_millis,
                         added: delta.added.iter().map(WireTuple::from_tuple).collect(),
                         removed: delta.removed.iter().map(WireTuple::from_tuple).collect(),
                     });
                 }
-            }
+                sub.held > 0 || self.owners.contains_key(&qid)
+            });
         }
     }
 
@@ -512,6 +522,43 @@ mod tests {
         svc.apply(sid, Request::Advance { millis: 10_000 });
         assert_eq!(svc.live_queries(), 0);
         assert!(svc.harness().state_footprint().is_empty());
+    }
+
+    #[test]
+    fn subscription_ends_with_its_query() {
+        let mut svc = service(8);
+        let (sid, _) = svc.connect("t");
+        let issue = Request::IssueQuery {
+            program: BEST_PATH.to_string(),
+            options: IssueOptions::default(),
+        };
+        let Response::Issued { qid } = svc.apply(sid, issue) else { panic!("issue failed") };
+        svc.apply(sid, Request::Subscribe { qid });
+        svc.apply(sid, Request::Advance { millis: 10_000 });
+        let (mut added, mut removed) = (0, 0);
+        for push in svc.drain_outbox(sid, usize::MAX) {
+            let Response::Delta { added: a, removed: r, .. } = push else {
+                panic!("unexpected push {push:?}");
+            };
+            added += a.len();
+            removed += r.len();
+        }
+        let routes = added - removed;
+        assert!(routes > 0);
+
+        svc.apply(sid, Request::TeardownQuery { qid });
+        // The first poll after the teardown reports every route removed and
+        // retires the cursor with it; the second advance has nothing to poll.
+        svc.apply(sid, Request::Advance { millis: 10_000 });
+        assert!(svc.sessions[&sid].subs.is_empty(), "dead subscription still polled");
+        svc.apply(sid, Request::Advance { millis: 10_000 });
+        let pushed = svc.drain_outbox(sid, usize::MAX);
+        let [Response::Delta { qid: q, added, removed, .. }] = pushed.as_slice() else {
+            panic!("expected exactly one removal delta, got {pushed:?}");
+        };
+        assert_eq!(*q, qid);
+        assert!(added.is_empty());
+        assert_eq!(removed.len(), routes);
     }
 
     #[test]
