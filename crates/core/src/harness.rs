@@ -33,6 +33,7 @@
 use crate::localize::localize;
 use crate::processor::{NetMsg, ProcessorConfig, ProcessorStats, QueryProcessor, StateFootprint};
 use crate::query::{QueryId, QueryLibrary, QuerySpec};
+pub use crate::results::{ResultCursor, ResultLogStats, ResultsDelta};
 use dr_datalog::ast::Program;
 use dr_netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
 use dr_provenance::{DerivationTree, ProvId, ProvRecord, ProvRef};
@@ -122,89 +123,7 @@ impl<T> QueryHandle<T> {
     /// A fresh [`ResultCursor`] over this query's deployment-wide result
     /// set. The first poll reports every current result as added.
     pub fn cursor(&self) -> ResultCursor {
-        ResultCursor { qid: self.qid, seen: BTreeMap::new() }
-    }
-}
-
-/// Result-set changes observed between two [`ResultCursor`] polls.
-///
-/// Result tuples disappear as well as appear — keyed upserts replace a
-/// route's row when a better path wins, ∞-tombstones poison rows during
-/// recovery, and teardown removes the whole set — so a streaming consumer
-/// needs both directions to mirror the result set incrementally.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResultsDelta {
-    /// Result tuples that appeared since the last poll.
-    pub added: Vec<Tuple>,
-    /// Result tuples that disappeared since the last poll.
-    pub removed: Vec<Tuple>,
-}
-
-impl ResultsDelta {
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// Total number of changed rows.
-    pub fn len(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-}
-
-/// An incremental view over one query's deployment-wide result set.
-///
-/// The cursor remembers the result multiset it last reported;
-/// [`ResultCursor::poll`] diffs the current state against that memory and
-/// returns only the changes. Polling is pull-based and the cursor holds no
-/// borrow on the harness, so a long-lived service can keep thousands of
-/// cursors (one per subscriber) and poll them after each batch of simulated
-/// time — a subscriber that temporarily stops polling simply sees a larger,
-/// coalesced delta later, which is what bounds the per-subscriber memory to
-/// the size of the result set rather than the length of the update history.
-#[derive(Debug, Clone)]
-pub struct ResultCursor {
-    qid: QueryId,
-    /// Result multiset as of the last poll (tuple → multiplicity; the same
-    /// row may legitimately be stored at several nodes).
-    seen: BTreeMap<Tuple, usize>,
-}
-
-impl ResultCursor {
-    /// A fresh cursor over `qid`'s deployment-wide result set, equivalent
-    /// to [`QueryHandle::cursor`] for callers that hold only the id (e.g. a
-    /// service subscribing on behalf of a remote client).
-    pub fn new(qid: QueryId) -> ResultCursor {
-        ResultCursor { qid, seen: BTreeMap::new() }
-    }
-
-    /// The query this cursor observes.
-    pub fn query(&self) -> QueryId {
-        self.qid
-    }
-
-    /// Diff the query's current result set against the last poll, report
-    /// the changes, and advance the cursor.
-    pub fn poll(&mut self, harness: &RoutingHarness) -> ResultsDelta {
-        let mut current: BTreeMap<Tuple, usize> = BTreeMap::new();
-        for t in harness.collect_results(self.qid) {
-            *current.entry(t).or_insert(0) += 1;
-        }
-        let mut delta = ResultsDelta::default();
-        for (t, &now) in &current {
-            let before = self.seen.get(t).copied().unwrap_or(0);
-            for _ in before..now {
-                delta.added.push(t.clone());
-            }
-        }
-        for (t, &before) in &self.seen {
-            let now = current.get(t).copied().unwrap_or(0);
-            for _ in now..before {
-                delta.removed.push(t.clone());
-            }
-        }
-        self.seen = current;
-        delta
+        ResultCursor::new(self.qid)
     }
 }
 
@@ -495,14 +414,27 @@ impl RoutingHarness {
         self.sim.run_to_quiescence();
     }
 
-    /// All result tuples of `qid` across every node (shared by the handle
-    /// methods).
-    fn collect_results(&self, qid: QueryId) -> Vec<Tuple> {
+    /// All result tuples of `qid` across every node: the one snapshot
+    /// routine, behind [`QueryHandle::raw_results`] and every
+    /// [`ResultCursor`] resynchronisation.
+    pub(crate) fn collect_results(&self, qid: QueryId) -> Vec<Tuple> {
         let mut out = Vec::new();
         for app in self.sim.apps() {
             out.extend(app.results(qid));
         }
         out
+    }
+
+    /// How many nodes hold an instance of `qid`.
+    pub(crate) fn installed_nodes(&self, qid: QueryId) -> usize {
+        self.sim.apps().filter(|app| app.has_query(qid)).count()
+    }
+
+    /// Exact counters of the result change logs behind every
+    /// [`ResultCursor`]: changes logged, entries read, resynchronisations
+    /// and the rows they rescanned, truncations.
+    pub fn result_log_stats(&self) -> ResultLogStats {
+        self.library.results().stats()
     }
 
     /// Per-node communication overhead in KB since the start of the run.
@@ -737,13 +669,13 @@ pub(crate) fn converged_at(samples: &[Sample]) -> Option<SimTime> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dr_datalog::parse_program;
     use dr_netsim::LinkParams;
     use dr_types::{Cost, CostEntry, Value};
 
-    const BEST_PATH: &str = r#"
+    pub(crate) const BEST_PATH: &str = r#"
         #key(link, 0, 1).
         #key(path, 0, 1, 2).
         #key(bestPathCost, 0, 1).
@@ -1216,58 +1148,6 @@ mod tests {
         assert!(harness.sim().app(n(1)).installed_queries().is_empty());
         assert!(harness.sim().app(n(1)).is_torn_down(handle.id()));
         assert!(harness.state_footprint().is_empty(), "{:?}", harness.state_footprint());
-    }
-
-    #[test]
-    fn cursor_streams_added_and_removed_results() {
-        let program = parse_program(BEST_PATH).unwrap();
-        let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).submit().unwrap();
-        let mut cursor = handle.cursor();
-        assert!(cursor.poll(&harness).is_empty(), "nothing ran yet");
-
-        harness.run_until(SimTime::from_secs(30));
-        let first = cursor.poll(&harness);
-        assert_eq!(first.added.len(), handle.raw_results(&harness).len());
-        assert!(first.removed.is_empty());
-        assert!(cursor.poll(&harness).is_empty(), "converged: second poll is empty");
-
-        // A failure rewrites routes through node 1: the cursor reports both
-        // directions of the change, and replaying its deltas against the
-        // first snapshot reproduces the current result set exactly.
-        harness.sim_mut().schedule_node_fail(SimTime::from_secs(30), n(1));
-        harness.run_until(SimTime::from_secs(60));
-        let repair = cursor.poll(&harness);
-        assert!(!repair.added.is_empty() && !repair.removed.is_empty(), "{repair:?}");
-
-        // Node 1 comes back; routes through it return.
-        harness.sim_mut().schedule_node_join(SimTime::from_secs(60), n(1));
-        harness.run_until(SimTime::from_secs(90));
-        let heal = cursor.poll(&harness);
-
-        let mut mirror: std::collections::BTreeMap<Tuple, usize> = BTreeMap::new();
-        for t in first.added.iter().chain(&repair.added).chain(&heal.added) {
-            *mirror.entry(t.clone()).or_insert(0) += 1;
-        }
-        for t in repair.removed.iter().chain(&heal.removed) {
-            let count = mirror.get_mut(t).expect("removed tuple was reported added");
-            *count -= 1;
-            if *count == 0 {
-                mirror.remove(t);
-            }
-        }
-        let mut truth: std::collections::BTreeMap<Tuple, usize> = BTreeMap::new();
-        for t in handle.raw_results(&harness) {
-            *truth.entry(t).or_insert(0) += 1;
-        }
-        assert_eq!(mirror, truth, "cursor deltas must mirror the result set");
-
-        // Teardown drains the rest.
-        harness.teardown(handle.id(), SimTime::from_secs(90));
-        harness.run_to_quiescence();
-        let drained = cursor.poll(&harness);
-        assert!(drained.added.is_empty());
-        assert_eq!(drained.removed.len(), truth.values().sum::<usize>());
     }
 
     #[test]

@@ -94,6 +94,7 @@ mod lifecycle;
 pub mod localize;
 pub mod processor;
 pub mod query;
+pub mod results;
 pub mod scenario;
 mod stats;
 mod transport;
@@ -104,7 +105,8 @@ pub use dr_provenance::{
     ProvRef, ProvStore,
 };
 pub use harness::{
-    ExplainError, IssueBuilder, QueryHandle, ResultCursor, ResultsDelta, RoutingHarness, Sample,
+    ExplainError, IssueBuilder, QueryHandle, ResultCursor, ResultLogStats, ResultsDelta,
+    RoutingHarness, Sample,
 };
 pub use localize::{LocalizedProgram, LocalizedRule, ShipSpec};
 pub use processor::{

@@ -5,7 +5,7 @@
 use crate::admission::Admission;
 use crate::localize::LocalizedProgram;
 use crate::processor::{send, NetMsg, QueryProcessor};
-use crate::query::{QueryId, QuerySpec};
+use crate::query::{QueryId, QueryLibrary, QuerySpec};
 use dr_datalog::ast::{HeadTerm, Term};
 use dr_datalog::database::Database;
 use dr_datalog::eval::RuleEval;
@@ -51,10 +51,13 @@ pub(crate) struct Instance {
     /// bookkeeping, empty wire tags. Owned by the instance so teardown
     /// drops every record with the rest of the query's state.
     pub(crate) prov: Option<ProvStore>,
+    /// The deployment's library, for the query's result change log: every
+    /// change to a result relation of `db` is reported there.
+    library: Arc<QueryLibrary>,
 }
 
 impl Instance {
-    fn new(spec: Arc<QuerySpec>) -> Instance {
+    fn new(spec: Arc<QuerySpec>, library: Arc<QueryLibrary>) -> Instance {
         let mut db = Database::new();
         for (rel, keys) in spec.program.key_declarations() {
             db.declare_key(rel, keys);
@@ -83,8 +86,10 @@ impl Instance {
         for (rel, field) in compiled.iter().flat_map(RuleEval::probe_fields) {
             db.declare_index(rel, field);
         }
+        library.results().installed(spec.id);
         Instance {
             db,
+            library,
             compiled,
             replanned: false,
             pending: HashMap::new(),
@@ -133,12 +138,21 @@ impl Instance {
         self.pending.values().map(Vec::len).sum()
     }
 
+    /// The stored rows of every result (`Query:`) relation, in no order.
+    pub(crate) fn result_rows(&self) -> impl Iterator<Item = &Tuple> {
+        self.spec.program.result_relations.iter().flat_map(|&rel| self.db.scan(rel))
+    }
+
     /// Keyed insert into the local store. A tuple that is new becomes a
     /// pending delta (and takes `alias` as its provenance binding, when the
     /// query records provenance); a tuple it displaces takes its provenance
-    /// with it. Returns whether the tuple was new.
+    /// with it. A change to a result relation goes to the query's result
+    /// log as `+new -old`. Returns whether the tuple was new.
     pub(crate) fn store(&mut self, tuple: Tuple, alias: Option<ProvRef>) -> bool {
         let outcome = self.db.insert(tuple.clone());
+        if outcome.added && self.spec.program.result_relations.contains(&tuple.rel()) {
+            self.library.results().stored(self.spec.id, &tuple, outcome.replaced.as_ref());
+        }
         if let Some(store) = self.prov.as_mut() {
             if let Some(old) = &outcome.replaced {
                 store.forget(old);
@@ -229,7 +243,7 @@ impl QueryProcessor {
         if spec.share_results {
             self.shared.declare_key(spec.cache_relation.as_str(), vec![0, 1]);
         }
-        let instance = Instance::new(Arc::clone(&spec));
+        let instance = Instance::new(Arc::clone(&spec), Arc::clone(&self.config.library));
         // Mirror the plans' probe-field declarations onto the shared
         // (cross-query) store, so joins against cache relations such as
         // `bestPathCache` are index-served on both sides of the overlay.
@@ -269,8 +283,10 @@ impl QueryProcessor {
         // tuples, pending deltas, prune state, compiled plans — and the
         // spec `Arc` (static plans, `RelCatalog`) is freed when the last
         // node lets go. The shared cache relation goes with its last user:
-        // no remaining query could refresh the paths it holds.
+        // no remaining query could refresh the paths it holds. The result
+        // rows that die with the instance leave through the result log.
         if let Some(instance) = self.instances.remove(&qid) {
+            self.config.library.results().torn_down(qid, instance.result_rows().cloned());
             if !self.instances.values().any(|i| i.cache_rel == instance.cache_rel) {
                 self.shared.drop_relation(instance.cache_rel);
             }

@@ -220,25 +220,40 @@ impl QueryProcessor {
     /// `(S, D, P, C)`) or an explicit next-hop field (`(S, D, Z, C)`).
     pub fn forwarding_table(&self, qid: QueryId) -> BTreeMap<NodeId, NodeId> {
         let mut out = BTreeMap::new();
-        for t in self.results(qid) {
-            if t.node_at(0) != Some(self.node) {
-                continue;
+        let Some(instance) = self.instances.get(&qid) else { return out };
+        for &rel in &instance.spec.program.result_relations {
+            // Of several rows for one destination the greatest decides,
+            // whatever order the store yields them in.
+            let mut deciding: BTreeMap<NodeId, (&Tuple, NodeId)> = BTreeMap::new();
+            for t in instance.db.scan(rel) {
+                let Some((dest, next)) = self.next_hop(t) else { continue };
+                let entry = deciding.entry(dest).or_insert((t, next));
+                if t > entry.0 {
+                    *entry = (t, next);
+                }
             }
-            let Some(dest) = t.node_at(1) else { continue };
-            let cost = t.fields().last().and_then(Value::as_cost).unwrap_or(Cost::ZERO);
-            if cost.is_infinite() {
-                continue;
-            }
-            let next = t.field(2).and_then(|v| match v {
-                Value::Path(p) if p.len() >= 2 => Some(p.nodes()[1]),
-                Value::Node(n) => Some(*n),
-                _ => None,
-            });
-            if let Some(next) = next {
-                out.insert(dest, next);
-            }
+            out.extend(deciding.into_iter().map(|(dest, (_, next))| (dest, next)));
         }
         out
+    }
+
+    /// The forwarding entry (destination, next hop) result row `t` stands
+    /// for, if it is a finite route from this node.
+    fn next_hop(&self, t: &Tuple) -> Option<(NodeId, NodeId)> {
+        if t.node_at(0) != Some(self.node) {
+            return None;
+        }
+        let dest = t.node_at(1)?;
+        let cost = t.fields().last().and_then(Value::as_cost).unwrap_or(Cost::ZERO);
+        if cost.is_infinite() {
+            return None;
+        }
+        let next = match t.field(2)? {
+            Value::Path(p) if p.len() >= 2 => p.nodes()[1],
+            Value::Node(n) => *n,
+            _ => return None,
+        };
+        Some((dest, next))
     }
 
     /// Number of aggregate-selection prune-state entries currently held for

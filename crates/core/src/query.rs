@@ -10,6 +10,7 @@
 //! disseminated on first use.
 
 use crate::localize::LocalizedProgram;
+use crate::results::ResultLogs;
 use dr_datalog::eval::RuleEval;
 use dr_types::Tuple;
 use std::collections::HashMap;
@@ -135,16 +136,24 @@ impl QuerySpec {
 ///
 /// The library is shared (via `Arc`) by every node's processor and by the
 /// experiment harness, which keeps registering new queries while the
-/// simulation runs; it therefore uses interior mutability.
+/// simulation runs; it therefore uses interior mutability. Being the one
+/// thing all of them share, it also carries the queries' result change logs
+/// (see [`crate::results`]): the nodes write them, result cursors read them.
 #[derive(Debug, Default)]
 pub struct QueryLibrary {
     specs: std::sync::RwLock<HashMap<QueryId, Arc<QuerySpec>>>,
+    results: ResultLogs,
 }
 
 impl QueryLibrary {
     /// An empty library.
     pub fn new() -> QueryLibrary {
         QueryLibrary::default()
+    }
+
+    /// The per-query result change logs.
+    pub(crate) fn results(&self) -> &ResultLogs {
+        &self.results
     }
 
     /// Register a spec; replaces any previous spec with the same id.

@@ -19,13 +19,16 @@
 //!
 //! ## Subscriptions and backpressure
 //!
-//! A subscription is a [`ResultCursor`] polled after every time advance.
-//! Deltas queue in the owning session's outbox, bounded by
-//! [`ServiceConfig::subscriber_queue_cap`]. When the outbox is full the
-//! cursor is simply *not advanced* — the unseen changes coalesce inside
-//! the cursor (memory stays bounded by the result-set size, not the
-//! update history) and a [`Response::Lagged`] with the number of skipped
-//! polls precedes the next delta once the subscriber catches up.
+//! A subscription is a [`ResultCursor`] polled after every time advance:
+//! an offset into the query's result change log, which every subscriber of
+//! the query shares, so a tick costs the changes it reports rather than the
+//! result sets it watches. Deltas queue in the owning session's outbox,
+//! bounded by [`ServiceConfig::subscriber_queue_cap`]. When the outbox is
+//! full the cursor is simply *not advanced* — the unseen changes coalesce
+//! (memory stays bounded by the result-set size, not the update history:
+//! a cursor the log was truncated past catches up from one snapshot) and a
+//! [`Response::Lagged`] with the number of skipped polls precedes the next
+//! delta once the subscriber catches up.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -52,14 +55,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One subscription: a cursor, the number of polls skipped while the
-/// session's outbox was full, and the number of results the subscriber
-/// currently holds (sent as added, not yet as removed).
+/// One subscription: a cursor and the number of polls skipped while the
+/// session's outbox was full.
 #[derive(Debug)]
 struct Subscription {
     cursor: ResultCursor,
     missed: u64,
-    held: usize,
 }
 
 /// Per-session state.
@@ -324,9 +325,7 @@ impl RoutingService {
             return self.error(ErrorCode::UnknownQuery, format!("no live query {qid}"));
         }
         let session = self.sessions.get_mut(&sid).expect("checked by apply");
-        session
-            .subs
-            .insert(qid, Subscription { cursor: ResultCursor::new(qid), missed: 0, held: 0 });
+        session.subs.insert(qid, Subscription { cursor: ResultCursor::new(qid), missed: 0 });
         Response::Subscribed { qid }
     }
 
@@ -341,8 +340,8 @@ impl RoutingService {
     /// missed round for the ones that don't. A subscription ends with its
     /// query: once the query is torn down and the subscriber has been told
     /// of the removal of every result it was ever sent (however many polls
-    /// the teardown flood took), it is dropped instead of being rescanned
-    /// on every tick forever.
+    /// the teardown flood took), it is dropped instead of being polled on
+    /// every tick forever.
     fn poll_subscriptions(&mut self) {
         let cap = self.config.subscriber_queue_cap;
         let now_millis = self.harness.now().as_millis_f64() as u64;
@@ -358,7 +357,6 @@ impl RoutingService {
                         outbox.push_back(Response::Lagged { qid, missed: sub.missed });
                         sub.missed = 0;
                     }
-                    sub.held = sub.held + delta.added.len() - delta.removed.len();
                     outbox.push_back(Response::Delta {
                         qid,
                         now_millis,
@@ -366,7 +364,7 @@ impl RoutingService {
                         removed: delta.removed.iter().map(WireTuple::from_tuple).collect(),
                     });
                 }
-                sub.held > 0 || self.owners.contains_key(&qid)
+                self.owners.contains_key(&qid) || !sub.cursor.holds_nothing()
             });
         }
     }
@@ -442,6 +440,12 @@ impl RoutingService {
         lines.push(format!(
             "{{\"type\":\"overhead\",\"per_node_kb\":{:.3}}}",
             self.harness.per_node_overhead_kb()
+        ));
+        let r = self.harness.result_log_stats();
+        lines.push(format!(
+            "{{\"type\":\"results\",\"changes_logged\":{},\"entries_read\":{},\
+             \"resyncs\":{},\"rows_rescanned\":{},\"truncations\":{}}}",
+            r.changes_logged, r.entries_read, r.resyncs, r.rows_rescanned, r.truncations,
         ));
         for (start, bytes_per_node_s) in self.harness.sim().metrics().per_node_bandwidth_series() {
             lines.push(format!(

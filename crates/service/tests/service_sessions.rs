@@ -9,7 +9,7 @@ use dr_netsim::{EventSource, SimDuration, SimTime};
 use dr_service::protocol::{IssueOptions, Response, WireTuple, WireValue};
 use dr_service::service::default_topology;
 use dr_service::transport::InProcHub;
-use dr_service::{Client, ServiceConfig, BEST_PATH_PROGRAM};
+use dr_service::{Client, Request, RoutingService, ServiceConfig, BEST_PATH_PROGRAM};
 use dr_types::Tuple;
 use dr_workloads::ChurnSchedule;
 
@@ -222,6 +222,110 @@ fn slow_subscriber_is_bounded_and_told_it_lagged() {
         missed.is_some_and(|m| m > 0),
         "the service must report how many delta rounds were coalesced; got {caught_up:?}"
     );
+}
+
+fn issue_best_path(svc: &mut RoutingService, sid: u64) -> u64 {
+    let issue = Request::IssueQuery {
+        program: BEST_PATH_PROGRAM.to_string(),
+        options: IssueOptions::default(),
+    };
+    match svc.apply(sid, issue) {
+        Response::Issued { qid } => qid,
+        other => panic!("issue refused: {other:?}"),
+    }
+}
+
+fn flip_link(svc: &mut RoutingService, sid: u64, qid: u64, cost: f64) {
+    let fact = WireTuple {
+        relation: "link".to_string(),
+        values: vec![WireValue::Node(0), WireValue::Node(1), WireValue::Cost(cost)],
+    };
+    let resp = svc.apply(sid, Request::InjectFacts { qid, node: 0, facts: vec![fact] });
+    assert!(matches!(resp, Response::Injected { .. }), "{resp:?}");
+}
+
+/// Once the deployment is quiet, a tick over a hundred subscriptions costs
+/// nothing per subscriber: no log entry is read and no stored row rescanned.
+#[test]
+fn idle_tick_reads_no_log_entries_and_rescans_no_rows() {
+    let mut svc = RoutingService::new(default_topology(NODES), ServiceConfig::default());
+    let sids: Vec<u64> = (0..SESSIONS).map(|i| svc.connect(&format!("s{i}")).0).collect();
+    let qid = issue_best_path(&mut svc, sids[0]);
+    for &sid in &sids {
+        assert!(matches!(svc.apply(sid, Request::Subscribe { qid }), Response::Subscribed { .. }));
+    }
+    svc.advance(SimDuration::from_millis(10_000));
+    for &sid in &sids {
+        assert!(!svc.drain_outbox(sid, usize::MAX).is_empty(), "every subscriber saw the routes");
+    }
+
+    let before = svc.harness().result_log_stats();
+    // Each subscriber's first poll was its one snapshot.
+    assert_eq!(before.resyncs, SESSIONS as u64, "{before:?}");
+    svc.advance(SimDuration::ZERO);
+    assert_eq!(svc.harness().result_log_stats(), before, "an idle tick must not touch the log");
+    assert!(sids.iter().all(|&sid| svc.outbox_len(sid) == 0));
+
+    // A change is read once per subscriber, and still nothing is rescanned.
+    flip_link(&mut svc, sids[0], qid, 6.0);
+    svc.advance(SimDuration::from_millis(2_000));
+    let after = svc.harness().result_log_stats();
+    let logged = after.changes_logged - before.changes_logged;
+    assert!(logged > 0);
+    assert_eq!(after.entries_read - before.entries_read, logged * SESSIONS as u64);
+    assert_eq!((after.resyncs, after.rows_rescanned), (before.resyncs, before.rows_rescanned));
+}
+
+/// A subscriber whose outbox stays full while the log is truncated past its
+/// cursor catches up from one snapshot: `Lagged`, then a single coalesced
+/// delta that takes its view to exactly what the deployment stores.
+#[test]
+fn subscriber_truncated_past_catches_up_with_one_coalesced_delta() {
+    const CAP: usize = 2;
+    let config = ServiceConfig { subscriber_queue_cap: CAP, ..ServiceConfig::default() };
+    let mut svc = RoutingService::new(default_topology(NODES), config);
+    let (reader, _) = svc.connect("reader");
+    let (slow, _) = svc.connect("slow");
+    let qid = issue_best_path(&mut svc, reader);
+    for sid in [reader, slow] {
+        assert!(matches!(svc.apply(sid, Request::Subscribe { qid }), Response::Subscribed { .. }));
+    }
+    svc.advance(SimDuration::from_millis(10_000));
+
+    // The reader drains every round, so the log stays awake and is cut back
+    // behind it; the slow session never drains, so after CAP deltas its
+    // cursor stops moving and the log is truncated past it.
+    let mut round = 0u32;
+    while svc.harness().result_log_stats().truncations < 2 {
+        round += 1;
+        assert!(round < 400, "the log never outgrew its bound");
+        flip_link(&mut svc, reader, qid, if round.is_multiple_of(2) { 1.0 } else { 6.0 });
+        svc.advance(SimDuration::from_millis(1_000));
+        svc.drain_outbox(reader, usize::MAX);
+        assert!(svc.outbox_len(slow) <= CAP);
+    }
+
+    let mut view = BTreeMap::new();
+    for push in svc.drain_outbox(slow, usize::MAX) {
+        let Response::Delta { added, removed, .. } = push else { panic!("unexpected {push:?}") };
+        apply_delta(&mut view, &added, &removed);
+    }
+    let before = svc.harness().result_log_stats();
+    svc.advance(SimDuration::ZERO);
+    let after = svc.harness().result_log_stats();
+    assert_eq!(after.resyncs, before.resyncs + 1, "the slow cursor must have been truncated past");
+    assert_eq!(after.entries_read, before.entries_read);
+
+    let pushed = svc.drain_outbox(slow, usize::MAX);
+    let [Response::Lagged { missed, .. }, Response::Delta { added, removed, .. }] =
+        pushed.as_slice()
+    else {
+        panic!("expected Lagged then one delta, got {pushed:?}");
+    };
+    assert!(*missed > 0);
+    // `apply_delta` panics on the removal of a row the view never held.
+    apply_delta(&mut view, added, removed);
+    assert_eq!(view, multiset(ResultCursor::new(qid).poll(svc.harness()).added));
 }
 
 /// Dropping a client connection closes its session and really unwinds its
