@@ -15,13 +15,23 @@
 //! * [`service`] — sessions, per-session query quotas, drop-time teardown
 //!   (a disconnecting session's queries are really unwound across the
 //!   deployment, not leaked), bounded subscriber queues with explicit
-//!   [`Response::Lagged`] notices, and the line-oriented JSON stats
-//!   endpoint.
+//!   [`Response::Lagged`] notices, the line-oriented JSON stats endpoint —
+//!   and [`Connections`], the one sans-IO connection state machine: the
+//!   ordered connection table, the `Connect`-first rule, and per connection
+//!   one queue of encoded frames with a soft limit (pushes wait in the
+//!   session outbox above it) and a hard one (a peer owed more direct
+//!   replies than that is told [`ErrorCode::Overloaded`] and closed).
 //! * [`transport`] — two carriers for the same frames: a deterministic
-//!   single-threaded in-process hub for tests and benchmarks, and a
-//!   blocking TCP stream for the daemon.
-//! * [`server`] — the `std::net` thread-per-connection engine behind
-//!   `dr-serviced`.
+//!   single-threaded in-process hub for tests and benchmarks (a few lines
+//!   over [`Connections`]), and a blocking TCP stream for the daemon's
+//!   clients and its reader threads.
+//! * [`server`] — the engine behind `dr-serviced`, the other shell over
+//!   [`Connections`]: one event-driven engine thread that blocks on a
+//!   single event channel until the next tick and hands frames to writers
+//!   with `try_send` only, so it neither polls nor waits on a client.
+//!   Acceptor, reader and writer threads sit at the byte boundary because
+//!   this crate forbids `unsafe`, `std` has no `poll(2)`, and no
+//!   `libc`/`mio` is vendored.
 //! * [`client`] — a typed client that works over either transport.
 //! * [`backoff`] — bounded exponential retry for dialing a daemon that is
 //!   still coming up (or briefly away): refused connections follow a
@@ -74,7 +84,7 @@ pub use client::{Client, ClientError};
 pub use load::{LoadOptions, LoadReport};
 pub use protocol::{ErrorCode, IssueOptions, ProtoError, Request, Response};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use service::{default_topology, RoutingService, ServiceConfig};
+pub use service::{default_topology, Connections, RoutingService, ServiceConfig};
 pub use transport::{InProcHub, TcpTransport, Transport, TransportError};
 
 /// The paper's continuous Best-Path program (§5.1 with the §8 maintenance

@@ -84,6 +84,9 @@ pub enum ErrorCode {
     BadRequest = 4,
     /// The request must follow a successful `Connect` on this connection.
     NotConnected = 5,
+    /// The connection queued more direct replies than the server holds for
+    /// a peer that is not reading; it is closed after this notice.
+    Overloaded = 6,
 }
 
 impl ErrorCode {
@@ -95,6 +98,7 @@ impl ErrorCode {
             3 => ErrorCode::NotOwner,
             4 => ErrorCode::BadRequest,
             5 => ErrorCode::NotConnected,
+            6 => ErrorCode::Overloaded,
             tag => return Err(ProtoError::BadTag { kind: "ErrorCode", tag }),
         })
     }
@@ -905,18 +909,24 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Encode straight into a frame: the length prefix is reserved up front and
+/// patched in once the payload's size is known, so the message is built once.
+fn framed(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0u8; 4];
+    encode(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
 /// Encode a request as a ready-to-send frame.
 pub fn frame_request(req: &Request) -> Vec<u8> {
-    let mut payload = Vec::new();
-    req.encode(&mut payload);
-    frame(&payload)
+    framed(|buf| req.encode(buf))
 }
 
 /// Encode a response as a ready-to-send frame.
 pub fn frame_response(resp: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
-    resp.encode(&mut payload);
-    frame(&payload)
+    framed(|buf| resp.encode(buf))
 }
 
 /// Incremental frame reassembler for stream transports.
@@ -1046,6 +1056,7 @@ mod tests {
             Response::Lagged { qid: 9, missed: 17 },
             Response::Stats { lines: vec!["{\"type\":\"service\"}".into()] },
             Response::Error { code: ErrorCode::QuotaExceeded, message: "quota".into() },
+            Response::Error { code: ErrorCode::Overloaded, message: "not reading".into() },
             Response::ShuttingDown,
             Response::Explanation {
                 qid: 9,
@@ -1081,6 +1092,7 @@ mod tests {
             let mut payload = Vec::new();
             resp.encode(&mut payload);
             assert_eq!(Response::decode(&payload), Ok(resp.clone()), "{resp:?}");
+            assert_eq!(frame_response(&resp), frame(&payload), "prefix patched in: {resp:?}");
         }
     }
 

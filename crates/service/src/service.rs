@@ -2,11 +2,16 @@
 //!
 //! [`RoutingService`] wraps one resident [`RoutingHarness`] (topology +
 //! deployed queries) and multiplexes any number of client *sessions* over
-//! it. It is transport-agnostic and single-threaded: transports decode
-//! frames into [`Request`]s, feed them through [`RoutingService::apply`],
-//! and drain each session's bounded outbox of push [`Response`]s
-//! (`Delta` / `Lagged`). All backpressure policy lives here — a transport
-//! is a dumb frame carrier.
+//! it. It is transport-agnostic and single-threaded: requests go through
+//! [`RoutingService::apply`] and push [`Response`]s (`Delta` / `Lagged`)
+//! queue in each session's bounded outbox.
+//!
+//! [`Connections`] is the one connection state machine over it, shared by
+//! the in-process hub and the TCP daemon: which connection speaks for which
+//! session, the `Connect`-first rule, and one bounded queue of encoded
+//! frames per connection. It does no I/O — a shell feeds it decoded
+//! requests and takes frames out — so all backpressure policy lives here
+//! and is tested with no socket; a transport is a dumb frame carrier.
 //!
 //! ## Ownership and lifecycle
 //!
@@ -29,6 +34,14 @@
 //! a cursor the log was truncated past catches up from one snapshot) and a
 //! [`Response::Lagged`] with the number of skipped polls precedes the next
 //! delta once the subscriber catches up.
+//!
+//! A connection's frame queue has two limits. Pushes move out of the
+//! session outbox only while the queue holds fewer than
+//! `subscriber_queue_cap` frames (the *soft* limit: a slow subscriber backs
+//! up into its outbox and lags, nothing is lost). Direct replies are always
+//! queued, up to [`REPLY_CAP_FACTOR`] times as many (the *hard* limit): a
+//! peer that keeps sending requests and never reads has what it was owed
+//! replaced by one [`ErrorCode::Overloaded`] notice and is closed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -37,7 +50,9 @@ use dr_datalog::parse_program;
 use dr_netsim::{SimDuration, Topology};
 use dr_types::NodeId;
 
-use crate::protocol::{flatten_tree, ErrorCode, IssueOptions, Request, Response, WireTuple};
+use crate::protocol::{
+    flatten_tree, frame_response, ErrorCode, IssueOptions, Request, Response, WireTuple,
+};
 
 /// Tuning knobs of a [`RoutingService`].
 #[derive(Debug, Clone)]
@@ -45,7 +60,9 @@ pub struct ServiceConfig {
     /// Maximum live queries a single session may own at once.
     pub max_queries_per_session: usize,
     /// Maximum queued push responses (deltas/lags) per session before the
-    /// service stops advancing that session's cursors.
+    /// service stops advancing that session's cursors. Also the soft limit
+    /// of a connection's frame queue — pushes wait in the outbox above it —
+    /// and, times [`REPLY_CAP_FACTOR`], its hard limit.
     pub subscriber_queue_cap: usize,
 }
 
@@ -54,6 +71,10 @@ impl Default for ServiceConfig {
         ServiceConfig { max_queries_per_session: 64, subscriber_queue_cap: 256 }
     }
 }
+
+/// A connection may be owed this many times `subscriber_queue_cap` frames
+/// before it counts as not reading (1024 direct replies by default).
+pub const REPLY_CAP_FACTOR: usize = 4;
 
 /// One subscription: a cursor and the number of polls skipped while the
 /// session's outbox was full.
@@ -90,6 +111,8 @@ pub struct ServiceCounters {
     pub facts_injected: u64,
     /// Requests that produced an error response.
     pub errors: u64,
+    /// Push responses (deltas, lag notices) queued into session outboxes.
+    pub pushes_queued: u64,
 }
 
 /// A long-lived routing service: one resident deployment, many sessions.
@@ -345,6 +368,7 @@ impl RoutingService {
     fn poll_subscriptions(&mut self) {
         let cap = self.config.subscriber_queue_cap;
         let now_millis = self.harness.now().as_millis_f64() as u64;
+        let pushes_queued = &mut self.counters.pushes_queued;
         for Session { subs, outbox, .. } in self.sessions.values_mut() {
             subs.retain(|&qid, sub| {
                 if outbox.len() >= cap {
@@ -353,6 +377,7 @@ impl RoutingService {
                 }
                 let delta = sub.cursor.poll(&self.harness);
                 if !delta.is_empty() {
+                    *pushes_queued += 1 + u64::from(sub.missed > 0);
                     if sub.missed > 0 {
                         outbox.push_back(Response::Lagged { qid, missed: sub.missed });
                         sub.missed = 0;
@@ -461,6 +486,313 @@ impl RoutingService {
     pub fn client_names(&self) -> Vec<String> {
         self.sessions.values().map(|s| s.client.clone()).collect()
     }
+}
+
+/// Names one connection of a [`Connections`] table.
+pub type ConnId = u64;
+
+/// What became of an event's direct reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use]
+pub enum Reply {
+    /// The reply is in the connection's queue.
+    Queued,
+    /// The queue was at its hard limit: the connection's session is torn
+    /// down, its queue holds one [`ErrorCode::Overloaded`] notice, and the
+    /// shell should stop reading from the peer.
+    Overflow,
+    /// The connection is closed (or unknown); the event was not applied.
+    Dropped,
+}
+
+/// Connection-level counters, reported as the `server` stats line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerCounters {
+    /// Connections opened.
+    pub accepted: u64,
+    /// Connections closed, whichever side ended them.
+    pub closed: u64,
+    /// Connections closed for exceeding the hard queue limit.
+    pub overflow_disconnects: u64,
+    /// Undecodable payloads and frames answered with `BadRequest`.
+    pub malformed: u64,
+    /// Times the shell's loop blocked and woke (0 for the in-process hub,
+    /// which never sleeps).
+    pub wakeups: u64,
+    /// Connection events handled: opens, requests, malformed payloads, closes.
+    pub events: u64,
+}
+
+#[derive(Debug, Default)]
+struct Conn {
+    /// The session this connection authenticated as (after `Connect`).
+    session: Option<u64>,
+    /// Encoded frames the shell has not taken yet — direct replies and
+    /// pushes, in the order the peer must see them.
+    queue: VecDeque<Vec<u8>>,
+    /// Closed: no event is applied and no push queued; the entry is dropped
+    /// once its queue has been taken.
+    closing: bool,
+}
+
+/// The sans-IO connection state machine over a [`RoutingService`]: an
+/// ordered connection table in which every connection has an optional
+/// session and a bounded queue of outgoing frames. A shell (the in-process
+/// hub, the TCP engine loop) reports what its peers did — [`open`],
+/// [`on_request`], [`on_malformed`], [`close`] — and the passing of
+/// simulated time ([`advance`]), then carries away what [`take_frame`]
+/// hands it. Nothing here blocks, sleeps or touches a socket.
+///
+/// [`open`]: Connections::open
+/// [`on_request`]: Connections::on_request
+/// [`on_malformed`]: Connections::on_malformed
+/// [`close`]: Connections::close
+/// [`advance`]: Connections::advance
+/// [`take_frame`]: Connections::take_frame
+pub struct Connections {
+    service: RoutingService,
+    conns: BTreeMap<ConnId, Conn>,
+    /// Connections that gained frames since [`Connections::take_ready`].
+    ready: BTreeSet<ConnId>,
+    next_conn: ConnId,
+    push_cap: usize,
+    reply_cap: usize,
+    counters: ServerCounters,
+}
+
+impl Connections {
+    /// Start a service over `topology` with an empty connection table.
+    pub fn new(topology: Topology, config: ServiceConfig) -> Connections {
+        let push_cap = config.subscriber_queue_cap.max(1);
+        let reply_cap = REPLY_CAP_FACTOR * push_cap;
+        Connections {
+            service: RoutingService::new(topology, config),
+            conns: BTreeMap::new(),
+            ready: BTreeSet::new(),
+            next_conn: 1,
+            push_cap,
+            reply_cap,
+            counters: ServerCounters::default(),
+        }
+    }
+
+    /// The service behind the table.
+    pub fn service(&self) -> &RoutingService {
+        &self.service
+    }
+
+    /// Mutable access to the service (tests and load drivers schedule
+    /// simulator events through it).
+    pub fn service_mut(&mut self) -> &mut RoutingService {
+        &mut self.service
+    }
+
+    /// Connection-level counters.
+    pub fn counters(&self) -> ServerCounters {
+        self.counters
+    }
+
+    /// The shell's loop blocked and woke once more.
+    pub fn note_wakeup(&mut self) {
+        self.counters.wakeups += 1;
+    }
+
+    /// A peer connected; it has no session until it sends `Connect`.
+    pub fn open(&mut self) -> ConnId {
+        let id = self.next_conn;
+        self.next_conn += 1;
+        self.conns.insert(id, Conn::default());
+        self.counters.accepted += 1;
+        self.counters.events += 1;
+        id
+    }
+
+    /// One frame's worth from connection `id`: a decoded request, or why
+    /// the payload did not decode.
+    pub fn on_frame(&mut self, id: ConnId, frame: Result<Request, String>) -> Reply {
+        match frame {
+            Ok(req) => self.on_request(id, req),
+            Err(message) => self.on_malformed(id, message),
+        }
+    }
+
+    /// Apply one decoded request from connection `id`: queue its direct
+    /// reply, then the pushes it caused (for every connection), so a delta
+    /// never trails behind requests that were merely queued after its cause.
+    pub fn on_request(&mut self, id: ConnId, req: Request) -> Reply {
+        self.counters.events += 1;
+        let admitted = self.admit(id);
+        if admitted != Reply::Queued {
+            return admitted;
+        }
+        let pushes_before = self.service.counters.pushes_queued;
+        let session = &mut self.conns.get_mut(&id).expect("admitted").session;
+        let mut resp = match (*session, req) {
+            (None, Request::Connect { client }) => {
+                let (sid, resp) = self.service.connect(&client);
+                *session = Some(sid);
+                resp
+            }
+            (None, _) => Response::Error {
+                code: ErrorCode::NotConnected,
+                message: "the first request must be Connect".to_string(),
+            },
+            (Some(sid), req) => self.service.apply(sid, req),
+        };
+        if let Response::Stats { lines } = &mut resp {
+            lines.push(self.server_line());
+        }
+        self.enqueue(id, &resp);
+        if self.service.counters.pushes_queued != pushes_before {
+            self.drain_outboxes();
+        }
+        Reply::Queued
+    }
+
+    /// Connection `id` sent bytes that do not decode; answer `BadRequest`.
+    pub fn on_malformed(&mut self, id: ConnId, message: String) -> Reply {
+        self.counters.events += 1;
+        let admitted = self.admit(id);
+        if admitted == Reply::Queued {
+            self.counters.malformed += 1;
+            self.enqueue(id, &Response::Error { code: ErrorCode::BadRequest, message });
+        }
+        admitted
+    }
+
+    /// The peer is gone, or must not be heard any more: tear down the
+    /// session (and with it every query it owns) exactly once. Frames
+    /// already queued stay takeable; the entry goes with the last of them.
+    pub fn close(&mut self, id: ConnId) {
+        self.counters.events += 1;
+        self.shut(id);
+    }
+
+    /// Advance simulated time by `step` and queue the pushes that causes.
+    pub fn advance(&mut self, step: SimDuration) {
+        self.service.advance(step);
+        self.drain_outboxes();
+    }
+
+    /// Move pushes from session outboxes into connection queues, in table
+    /// order, each while its queue is under the soft limit. What stays in
+    /// an outbox keeps exerting backpressure on that session's cursors.
+    pub fn drain_outboxes(&mut self) {
+        for (&id, conn) in &mut self.conns {
+            if fill(&mut self.service, conn, self.push_cap) {
+                self.ready.insert(id);
+            }
+        }
+    }
+
+    /// Take the next frame (length prefix included) queued for connection
+    /// `id`; the room this makes is refilled from the session's outbox.
+    pub fn take_frame(&mut self, id: ConnId) -> Option<Vec<u8>> {
+        let conn = self.conns.get_mut(&id)?;
+        fill(&mut self.service, conn, self.push_cap);
+        let frame = conn.queue.pop_front();
+        if conn.closing && conn.queue.is_empty() {
+            self.forget(id);
+        }
+        frame
+    }
+
+    /// The connections that gained frames since the last call, in table order.
+    pub fn take_ready(&mut self) -> BTreeSet<ConnId> {
+        std::mem::take(&mut self.ready)
+    }
+
+    /// Frames queued for connection `id` and not taken yet.
+    #[cfg(test)]
+    fn queued(&self, id: ConnId) -> usize {
+        self.conns.get(&id).map_or(0, |conn| conn.queue.len())
+    }
+
+    /// True once `id` is closed and every frame queued for it was taken.
+    pub fn is_gone(&self, id: ConnId) -> bool {
+        !self.conns.contains_key(&id)
+    }
+
+    /// Drop connection `id` and whatever is still queued for it: the shell
+    /// can no longer deliver anything.
+    pub fn discard(&mut self, id: ConnId) {
+        self.shut(id);
+        self.forget(id);
+    }
+
+    fn forget(&mut self, id: ConnId) {
+        self.conns.remove(&id);
+        self.ready.remove(&id);
+    }
+
+    fn shut(&mut self, id: ConnId) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if !conn.closing {
+            conn.closing = true;
+            self.counters.closed += 1;
+            if let Some(sid) = conn.session.take() {
+                self.service.disconnect(sid);
+            }
+        }
+        if conn.queue.is_empty() {
+            self.forget(id);
+        }
+    }
+
+    /// Whether connection `id` may be answered: not if it is closed, and a
+    /// queue at the hard limit closes it here.
+    fn admit(&mut self, id: ConnId) -> Reply {
+        match self.conns.get_mut(&id) {
+            None => Reply::Dropped,
+            Some(conn) if conn.closing => Reply::Dropped,
+            Some(conn) if conn.queue.len() >= self.reply_cap => {
+                let held = conn.queue.len();
+                conn.queue.clear();
+                self.counters.overflow_disconnects += 1;
+                self.enqueue(
+                    id,
+                    &Response::Error {
+                        code: ErrorCode::Overloaded,
+                        message: format!("{held} frames queued and the peer is not reading"),
+                    },
+                );
+                self.shut(id);
+                Reply::Overflow
+            }
+            Some(_) => Reply::Queued,
+        }
+    }
+
+    fn enqueue(&mut self, id: ConnId, resp: &Response) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.queue.push_back(frame_response(resp));
+            self.ready.insert(id);
+        }
+    }
+
+    fn server_line(&self) -> String {
+        let c = &self.counters;
+        format!(
+            "{{\"type\":\"server\",\"connections_open\":{},\"accepted\":{},\"closed\":{},\
+             \"overflow_disconnects\":{},\"malformed\":{},\"wakeups\":{},\"events\":{}}}",
+            c.accepted - c.closed,
+            c.accepted,
+            c.closed,
+            c.overflow_disconnects,
+            c.malformed,
+            c.wakeups,
+            c.events,
+        )
+    }
+}
+
+/// Move pushes from `conn`'s session outbox into its queue while the queue
+/// is under `cap`; true if any moved.
+fn fill(service: &mut RoutingService, conn: &mut Conn, cap: usize) -> bool {
+    let Some(sid) = conn.session else { return false };
+    let pushes = service.drain_outbox(sid, cap.saturating_sub(conn.queue.len()));
+    conn.queue.extend(pushes.iter().map(frame_response));
+    !pushes.is_empty()
 }
 
 /// A small deterministic topology for service defaults and examples: an
@@ -753,5 +1085,219 @@ mod tests {
             lagged.is_some_and(|m| m > 0),
             "expected Lagged after starved polls; drained={drained:?} caught_up={caught_up:?}"
         );
+    }
+
+    // --- the connection state machine, with no socket anywhere -----------
+
+    /// A table whose queues hold `push_cap` pushes (soft limit) and
+    /// `REPLY_CAP_FACTOR * push_cap` frames in all (hard limit).
+    fn table(push_cap: usize) -> Connections {
+        let config = ServiceConfig { subscriber_queue_cap: push_cap, ..ServiceConfig::default() };
+        Connections::new(default_topology(8), config)
+    }
+
+    /// Take and decode everything queued for `id`.
+    fn taken(table: &mut Connections, id: ConnId) -> Vec<Response> {
+        std::iter::from_fn(|| table.take_frame(id))
+            .map(|frame| Response::decode(&frame[4..]).expect("a well-formed frame"))
+            .collect()
+    }
+
+    /// Apply `req` on `id` and return its direct reply, which must be the
+    /// only frame queued.
+    fn call(table: &mut Connections, id: ConnId, req: Request) -> Response {
+        assert_eq!(table.on_request(id, req), Reply::Queued);
+        let mut replies = taken(table, id);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        replies.remove(0)
+    }
+
+    /// Open a connection and a session on it; returns (connection, session).
+    fn connected(table: &mut Connections, name: &str) -> (ConnId, u64) {
+        let id = table.open();
+        let resp = call(table, id, Request::Connect { client: name.to_string() });
+        let Response::Connected { session, .. } = resp else { panic!("{resp:?}") };
+        (id, session)
+    }
+
+    fn issue_best_path(table: &mut Connections, id: ConnId) -> u64 {
+        let issue = Request::IssueQuery {
+            program: BEST_PATH.to_string(),
+            options: IssueOptions::default(),
+        };
+        let resp = call(table, id, issue);
+        let Response::Issued { qid } = resp else { panic!("{resp:?}") };
+        qid
+    }
+
+    fn flip_link(table: &mut Connections, id: ConnId, qid: u64, cost: f64) {
+        let fact = WireTuple {
+            relation: "link".to_string(),
+            values: vec![
+                crate::protocol::WireValue::Node(0),
+                crate::protocol::WireValue::Node(1),
+                crate::protocol::WireValue::Cost(cost),
+            ],
+        };
+        let resp = call(table, id, Request::InjectFacts { qid, node: 0, facts: vec![fact] });
+        assert!(matches!(resp, Response::Injected { .. }), "{resp:?}");
+    }
+
+    #[test]
+    fn connect_comes_first_and_malformed_payloads_are_survived() {
+        let mut table = table(4);
+        let id = table.open();
+        assert!(matches!(
+            call(&mut table, id, Request::Stats),
+            Response::Error { code: ErrorCode::NotConnected, .. }
+        ));
+        assert_eq!(table.on_malformed(id, "malformed request: junk".to_string()), Reply::Queued);
+        assert!(matches!(
+            taken(&mut table, id).as_slice(),
+            [Response::Error { code: ErrorCode::BadRequest, .. }]
+        ));
+        let connect = Request::Connect { client: "late".to_string() };
+        assert!(matches!(call(&mut table, id, connect), Response::Connected { .. }));
+
+        let Response::Stats { lines } = call(&mut table, id, Request::Stats) else {
+            panic!("stats refused")
+        };
+        assert_eq!(
+            lines.last().map(String::as_str),
+            Some(
+                "{\"type\":\"server\",\"connections_open\":1,\"accepted\":1,\"closed\":0,\
+                 \"overflow_disconnects\":0,\"malformed\":1,\"wakeups\":0,\"events\":5}"
+            )
+        );
+        // An event for a connection the table never opened is dropped.
+        assert_eq!(table.on_request(99, Request::Stats), Reply::Dropped);
+    }
+
+    #[test]
+    fn a_reply_precedes_the_pushes_it_caused_and_later_replies_follow_them() {
+        let mut table = table(16);
+        let (a, _) = connected(&mut table, "a");
+        let (b, _) = connected(&mut table, "b");
+        let qid = issue_best_path(&mut table, a);
+        for id in [a, b] {
+            let resp = call(&mut table, id, Request::Subscribe { qid });
+            assert!(matches!(resp, Response::Subscribed { .. }), "{resp:?}");
+        }
+        table.take_ready();
+
+        // `a` pipelines two requests; nobody takes a frame in between.
+        assert_eq!(table.on_request(a, Request::Advance { millis: 10_000 }), Reply::Queued);
+        assert_eq!(table.on_request(a, Request::Stats), Reply::Queued);
+        assert_eq!(table.take_ready().into_iter().collect::<Vec<_>>(), [a, b]);
+
+        let to_a = taken(&mut table, a);
+        assert!(matches!(to_a.first(), Some(Response::Advanced { .. })), "{to_a:?}");
+        assert!(matches!(to_a.last(), Some(Response::Stats { .. })), "{to_a:?}");
+        let deltas = &to_a[1..to_a.len() - 1];
+        assert!(!deltas.is_empty(), "the advance converged the query: {to_a:?}");
+        assert!(deltas.iter().all(|r| matches!(r, Response::Delta { .. })), "{to_a:?}");
+        // The other subscriber was handed the same deltas by `a`'s request.
+        assert_eq!(taken(&mut table, b), deltas);
+    }
+
+    #[test]
+    fn pushes_stop_at_the_soft_cap_and_resume_when_frames_are_taken() {
+        const CAP: usize = 2;
+        let mut table = table(CAP);
+        let (driver, _) = connected(&mut table, "driver");
+        let (slow, slow_sid) = connected(&mut table, "slow");
+        let qid = issue_best_path(&mut table, driver);
+        assert!(matches!(
+            call(&mut table, slow, Request::Subscribe { qid }),
+            Response::Subscribed { .. }
+        ));
+        for round in 0..12u32 {
+            flip_link(&mut table, driver, qid, [6.0, 1.0][round as usize % 2]);
+            let advanced = call(&mut table, driver, Request::Advance { millis: 2_000 });
+            assert!(matches!(advanced, Response::Advanced { .. }), "{advanced:?}");
+            assert!(table.queued(slow) <= CAP, "queue over the soft cap at round {round}");
+            assert!(table.service().outbox_len(slow_sid) <= CAP, "outbox over its cap");
+        }
+        assert_eq!(table.queued(slow), CAP);
+        assert_eq!(table.service().outbox_len(slow_sid), CAP, "the rest backed up behind it");
+
+        // Taking frames makes room; the outbox follows them out, in order.
+        let backlog = taken(&mut table, slow);
+        assert_eq!(backlog.len(), 2 * CAP, "{backlog:?}");
+        assert_eq!(table.service().outbox_len(slow_sid), 0);
+        flip_link(&mut table, driver, qid, 9.0);
+        let advanced = call(&mut table, driver, Request::Advance { millis: 2_000 });
+        assert!(matches!(advanced, Response::Advanced { .. }), "{advanced:?}");
+        let caught_up = taken(&mut table, slow);
+        assert!(
+            matches!(
+                caught_up.as_slice(),
+                [Response::Lagged { missed, .. }, Response::Delta { .. }] if *missed > 0
+            ),
+            "{caught_up:?}"
+        );
+    }
+
+    #[test]
+    fn overflow_is_a_return_value_and_sheds_the_connection() {
+        const HARD: usize = REPLY_CAP_FACTOR;
+        let mut table = table(1);
+        let (id, _) = connected(&mut table, "pipeliner");
+        issue_best_path(&mut table, id);
+        let (other, _) = connected(&mut table, "bystander");
+
+        for _ in 0..HARD {
+            assert_eq!(table.on_request(id, Request::Stats), Reply::Queued);
+        }
+        assert_eq!(table.on_request(id, Request::Stats), Reply::Overflow);
+        assert_eq!(table.on_request(id, Request::Stats), Reply::Dropped);
+        assert_eq!(table.on_malformed(id, "junk".to_string()), Reply::Dropped);
+
+        // The session and its query are gone at once; the peer is owed
+        // exactly the notice, and the entry goes once that is taken.
+        assert_eq!(table.service().session_count(), 1);
+        assert_eq!(table.service().live_queries(), 0);
+        assert!(!table.is_gone(id));
+        assert!(matches!(
+            taken(&mut table, id).as_slice(),
+            [Response::Error { code: ErrorCode::Overloaded, .. }]
+        ));
+        assert!(table.is_gone(id));
+        let c = table.counters();
+        assert_eq!((c.accepted, c.closed, c.overflow_disconnects), (2, 1, 1));
+        // Nobody else noticed.
+        assert!(matches!(call(&mut table, other, Request::Stats), Response::Stats { .. }));
+    }
+
+    #[test]
+    fn close_tears_down_the_sessions_queries_once() {
+        let mut table = table(4);
+        let (id, _) = connected(&mut table, "ephemeral");
+        let issue = Request::IssueQuery {
+            program: BEST_PATH.to_string(),
+            options: IssueOptions::default(),
+        };
+        // The `Issued` reply is still queued when the peer goes away.
+        assert_eq!(table.on_request(id, issue), Reply::Queued);
+        table.close(id);
+        table.close(id);
+        let c = table.service().counters();
+        assert_eq!((c.sessions_closed, c.queries_torn_down), (1, 1));
+        assert_eq!(table.counters().closed, 1);
+        assert_eq!(table.on_request(id, Request::Stats), Reply::Dropped);
+
+        assert!(!table.is_gone(id), "a queued frame outlives the session");
+        assert!(matches!(taken(&mut table, id).as_slice(), [Response::Issued { .. }]));
+        assert!(table.is_gone(id));
+        table.close(id);
+        assert_eq!(table.service().counters().sessions_closed, 1);
+
+        // `discard` is the close of a peer that can take nothing more.
+        let (gone, _) = connected(&mut table, "dropped");
+        assert_eq!(table.on_request(gone, Request::Stats), Reply::Queued);
+        table.discard(gone);
+        assert!(table.is_gone(gone));
+        assert!(table.take_ready().is_empty(), "no frames left to flush");
+        assert_eq!(table.service().session_count(), 0);
     }
 }

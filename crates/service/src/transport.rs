@@ -1,8 +1,9 @@
-//! Frame transports: how encoded [`Request`]/[`Response`] frames travel.
+//! Frame transports: how encoded [`Request`]/[`crate::Response`] frames travel.
 //!
 //! A transport is deliberately dumb — it moves opaque frames and reports
-//! closure. All protocol decoding and backpressure policy live in
-//! [`crate::service::RoutingService`] and the server loops.
+//! closure. Sessions, queue limits and backpressure policy live in
+//! [`crate::service::Connections`], the one connection state machine both
+//! the hub here and the [`crate::server`] engine loop are shells over.
 //!
 //! Two implementations:
 //!
@@ -15,15 +16,14 @@
 //!   [`crate::server`] daemon.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::rc::Rc;
 
 use dr_netsim::Topology;
 
-use crate::protocol::{frame, ErrorCode, FrameBuf, ProtoError, Request, Response};
-use crate::service::{RoutingService, ServiceConfig};
+use crate::protocol::{frame, FrameBuf, ProtoError, Request};
+use crate::service::{ConnId, Connections, Reply, RoutingService, ServiceConfig};
 
 /// Why a transport operation failed.
 #[derive(Debug)]
@@ -80,178 +80,76 @@ pub trait Transport {
 // In-process transport
 // ---------------------------------------------------------------------------
 
-struct ConnState {
-    /// Frames from the client awaiting service processing.
-    from_client: VecDeque<Vec<u8>>,
-    /// Frames for the client awaiting pickup.
-    to_client: VecDeque<Vec<u8>>,
-    /// The session this connection authenticated as (after `Connect`).
-    session: Option<u64>,
-    open: bool,
-}
-
-struct HubInner {
-    service: RoutingService,
-    conns: Vec<ConnState>,
-    queue_cap: usize,
-}
-
-impl HubInner {
-    /// Process every queued client frame, then distribute outbox pushes.
-    fn pump(&mut self) {
-        for id in 0..self.conns.len() {
-            while let Some(payload) = self.conns[id].from_client.pop_front() {
-                let reply = self.dispatch(id, &payload);
-                let mut buf = Vec::new();
-                reply.encode(&mut buf);
-                self.conns[id].to_client.push_back(frame(&buf));
-            }
-        }
-        // Closed connections give up their session (tearing down owned
-        // queries) exactly once.
-        for id in 0..self.conns.len() {
-            if !self.conns[id].open {
-                if let Some(sid) = self.conns[id].session.take() {
-                    self.service.disconnect(sid);
-                }
-            }
-        }
-        self.distribute_outboxes();
-    }
-
-    fn dispatch(&mut self, id: usize, payload: &[u8]) -> Response {
-        let req = match Request::decode(payload) {
-            Ok(req) => req,
-            Err(e) => {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("malformed request: {e}"),
-                }
-            }
-        };
-        match (self.conns[id].session, req) {
-            (None, Request::Connect { client }) => {
-                let (sid, resp) = self.service.connect(&client);
-                self.conns[id].session = Some(sid);
-                resp
-            }
-            (None, _) => Response::Error {
-                code: ErrorCode::NotConnected,
-                message: "the first request must be Connect".to_string(),
-            },
-            (Some(sid), req) => self.service.apply(sid, req),
-        }
-    }
-
-    /// Move queued push responses into per-connection delivery queues,
-    /// while they have room. A full delivery queue leaves the rest in the
-    /// session outbox — which is what makes the service's cursors stop
-    /// advancing for that subscriber.
-    fn distribute_outboxes(&mut self) {
-        for conn in &mut self.conns {
-            let Some(sid) = conn.session else { continue };
-            let room = self.queue_cap.saturating_sub(conn.to_client.len());
-            for resp in self.service.drain_outbox(sid, room) {
-                let mut buf = Vec::new();
-                resp.encode(&mut buf);
-                conn.to_client.push_back(frame(&buf));
-            }
-        }
-    }
-}
-
-/// A deterministic in-process service endpoint.
+/// A deterministic in-process service endpoint: the thinnest possible shell
+/// over [`Connections`].
 ///
 /// Cloning the hub clones a handle to the *same* service. Connections are
 /// created with [`InProcHub::connect`]; everything is single-threaded and
-/// synchronous: a [`Transport::send_frame`] pumps the service inline, so
-/// by the time it returns the direct response is already queued.
+/// synchronous: a [`Transport::send_frame`] applies the request inline, so
+/// by the time it returns the direct response (and every push it caused)
+/// is already queued.
 #[derive(Clone)]
 pub struct InProcHub {
-    inner: Rc<RefCell<HubInner>>,
+    inner: Rc<RefCell<Connections>>,
 }
 
 impl InProcHub {
     /// Start a service over `topology` and expose it in-process.
     pub fn new(topology: Topology, config: ServiceConfig) -> InProcHub {
-        let queue_cap = config.subscriber_queue_cap;
-        InProcHub {
-            inner: Rc::new(RefCell::new(HubInner {
-                service: RoutingService::new(topology, config),
-                conns: Vec::new(),
-                queue_cap,
-            })),
-        }
+        InProcHub { inner: Rc::new(RefCell::new(Connections::new(topology, config))) }
     }
 
     /// Open a new (not yet connected) transport to the service.
     pub fn connect(&self) -> InProcConn {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.conns.len();
-        inner.conns.push(ConnState {
-            from_client: VecDeque::new(),
-            to_client: VecDeque::new(),
-            session: None,
-            open: true,
-        });
+        let id = self.inner.borrow_mut().open();
         InProcConn { hub: Rc::clone(&self.inner), id }
     }
 
-    /// Process queued frames and distribute pushes (normally implicit in
-    /// every send/recv; explicit for tests that dropped a connection).
+    /// Distribute queued pushes to their connections (implicit in every
+    /// send and receive; explicit for tests that advanced the service
+    /// behind the hub's back).
     pub fn pump(&self) {
-        self.inner.borrow_mut().pump();
+        self.inner.borrow_mut().drain_outboxes();
     }
 
     /// Run `f` against the underlying service (inspection and scheduling
     /// of simulator events in tests and load drivers).
     pub fn with_service<R>(&self, f: impl FnOnce(&mut RoutingService) -> R) -> R {
-        f(&mut self.inner.borrow_mut().service)
+        f(self.inner.borrow_mut().service_mut())
     }
 }
 
 /// One in-process connection. Dropping it closes the session (the service
-/// tears down every query the session still owns on the next pump).
+/// tears down every query the session still owns).
 pub struct InProcConn {
-    hub: Rc<RefCell<HubInner>>,
-    id: usize,
+    hub: Rc<RefCell<Connections>>,
+    id: ConnId,
 }
 
 impl Transport for InProcConn {
     fn send_frame(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        let mut inner = self.hub.borrow_mut();
-        if !inner.conns[self.id].open {
-            return Err(TransportError::Closed);
+        let frame = Request::decode(payload).map_err(|e| format!("malformed request: {e}"));
+        match self.hub.borrow_mut().on_frame(self.id, frame) {
+            Reply::Dropped => Err(TransportError::Closed),
+            Reply::Queued | Reply::Overflow => Ok(()),
         }
-        inner.conns[self.id].from_client.push_back(payload.to_vec());
-        inner.pump();
-        Ok(())
     }
 
     fn recv_frame(&mut self) -> Result<Vec<u8>, TransportError> {
-        let mut inner = self.hub.borrow_mut();
-        inner.pump();
-        match inner.conns[self.id].to_client.pop_front() {
-            // Strip the length prefix the queue kept for wire fidelity.
-            Some(framed) => Ok(framed[4..].to_vec()),
-            // Synchronous transport: nothing queued means nothing will
-            // ever arrive without another request.
-            None => Err(TransportError::Closed),
-        }
+        // Synchronous transport: nothing queued means nothing will ever
+        // arrive without another request.
+        self.try_recv_frame()?.ok_or(TransportError::Closed)
     }
 
     fn try_recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut inner = self.hub.borrow_mut();
-        inner.pump();
-        Ok(inner.conns[self.id].to_client.pop_front().map(|framed| framed[4..].to_vec()))
+        // The queue keeps the length prefix for wire fidelity; strip it.
+        Ok(self.hub.borrow_mut().take_frame(self.id).map(|framed| framed[4..].to_vec()))
     }
 }
 
 impl Drop for InProcConn {
     fn drop(&mut self) {
-        let mut inner = self.hub.borrow_mut();
-        inner.conns[self.id].open = false;
-        inner.pump();
+        self.hub.borrow_mut().discard(self.id);
     }
 }
 
@@ -259,25 +157,32 @@ impl Drop for InProcConn {
 // TCP transport
 // ---------------------------------------------------------------------------
 
-/// A blocking TCP frame transport (the client side of [`crate::server`]).
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// A blocking TCP frame transport: the client side of [`crate::server`], and
+/// what each of the server's reader threads reads requests through.
 pub struct TcpTransport {
     stream: TcpStream,
     buf: FrameBuf,
-    scratch: [u8; 64 * 1024],
+    /// Read scratch, on the heap so that moving the transport (or a client
+    /// holding it) moves a pointer rather than [`READ_CHUNK`] bytes.
+    scratch: Box<[u8]>,
 }
 
 impl TcpTransport {
     /// Connect to a `dr-serviced` endpoint, e.g. `"127.0.0.1:7117"`.
     pub fn dial(addr: &str) -> Result<TcpTransport, TransportError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(TcpTransport { stream, buf: FrameBuf::new(), scratch: [0; 64 * 1024] })
+        Ok(TcpTransport::from_stream(TcpStream::connect(addr)?))
     }
 
     /// Wrap an already-connected stream (the server's per-connection side).
+    /// Frames here are small and written whole, so Nagle's algorithm would
+    /// only hold each one back for the peer's delayed ACK (~40 ms on
+    /// loopback): it is switched off, for every clone of the socket.
     pub fn from_stream(stream: TcpStream) -> TcpTransport {
         stream.set_nodelay(true).ok();
-        TcpTransport { stream, buf: FrameBuf::new(), scratch: [0; 64 * 1024] }
+        TcpTransport { stream, buf: FrameBuf::new(), scratch: vec![0; READ_CHUNK].into() }
     }
 }
 
