@@ -17,7 +17,6 @@ use dr_core::scenario::{Probe, QueryDef, ScenarioBuilder};
 use dr_netsim::{FaultPlan, LinkFaults, LinkParams, SimDuration, SimTime, Topology};
 use dr_protocols::{best_path, best_path_pairs, best_path_pairs_share};
 use dr_types::NodeId;
-use dr_workloads::queries::QueryMetric;
 use dr_workloads::{
     ChurnSchedule, LinkRttSchedule, MixedWorkload, OverlayKind, OverlayParams, PairWorkload,
     TransitStubParams,
@@ -291,12 +290,6 @@ fn run_mixed_stream(label: &str, switch: Option<usize>, params: &PairStreamParam
         .run()
         .expect("mixed-stream scenario must localize");
     checkpoint_series(label, &report.overhead_series, params.checkpoint_every)
-}
-
-/// The four per-metric cache relations used by the mixed workload (exposed
-/// for the ablation benchmarks).
-pub fn mixed_metrics() -> Vec<QueryMetric> {
-    vec![QueryMetric::Latency, QueryMetric::MetricA, QueryMetric::MetricB, QueryMetric::MetricC]
 }
 
 // ---------------------------------------------------------------------------
@@ -760,11 +753,6 @@ mod tests {
         for (_, d) in &diameters.points {
             assert!(*d > 0.0);
         }
-    }
-
-    #[test]
-    fn mixed_metrics_enumerates_four() {
-        assert_eq!(mixed_metrics().len(), 4);
     }
 
     #[test]

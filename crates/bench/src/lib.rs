@@ -2,9 +2,9 @@
 //!
 //! The experiment harness that regenerates every figure and table of the
 //! paper's evaluation (§9). Each binary in `src/bin/` reproduces one figure
-//! or table and prints its data series as a small CSV-like table;
-//! `EXPERIMENTS.md` in the repository root records the paper's values next
-//! to ours.
+//! or table and prints its data series as a small CSV-like table. The
+//! quick-scale output of every binary is pinned byte for byte under
+//! `golden/` and checked by `golden.sh`.
 //!
 //! Experiments run at a reduced "quick" scale by default so the whole suite
 //! finishes in minutes on a laptop; set the environment variable

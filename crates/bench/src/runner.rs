@@ -178,9 +178,6 @@ pub fn run_path_vector_baseline(
             last_state = (routes, avg);
             converged_at = Some(t.as_secs_f64());
         }
-        if sim.events_processed() > 0 && routes > 0 && sim_quiet(&sim) {
-            break;
-        }
     }
     RunOutcome {
         convergence_s: converged_at,
@@ -188,15 +185,6 @@ pub fn run_path_vector_baseline(
         routes: last_state.0,
         avg_cost: last_state.1,
     }
-}
-
-fn sim_quiet(sim: &Simulator<PathVectorNode>) -> bool {
-    // A run is quiet when no further events would change anything; the
-    // simulator exposes no direct "queue empty" probe, so we approximate by
-    // checking that nothing was processed in the last sampling window. The
-    // caller's loop already re-samples, so a false negative only costs time.
-    let _ = sim;
-    false
 }
 
 /// Finite best-path costs per (src, dst), read from each node's own store,
@@ -218,13 +206,6 @@ pub fn route_cost_map(
         }
     }
     out
-}
-
-/// Measure the average RTT of the best paths found by an all-pairs query on
-/// `topology` (used by Tables 1 and 2).
-pub fn average_path_rtt(topology: Topology, horizon: SimTime) -> (f64, usize) {
-    let outcome = run_best_path_query(topology, horizon, SimDuration::from_secs(2));
-    (outcome.avg_cost, outcome.routes)
 }
 
 /// Average link RTT (cost metric) of a topology.

@@ -30,9 +30,8 @@
 //! The handle is a lightweight, clonable token — it borrows nothing, so the
 //! harness stays freely mutable between observations.
 
-use crate::localize::localize;
 use crate::processor::{NetMsg, ProcessorConfig, ProcessorStats, QueryProcessor, StateFootprint};
-use crate::query::{QueryId, QueryLibrary, QuerySpec};
+use crate::query::{QueryDef, QueryId, QueryLibrary, QuerySpec};
 pub use crate::results::{ResultCursor, ResultLogStats, ResultsDelta};
 use dr_datalog::ast::Program;
 use dr_netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
@@ -164,97 +163,75 @@ pub(crate) fn average_cost_of<T: CostView>(finite: &[T]) -> f64 {
 }
 
 /// Fluent specification of a query issuance, created by
-/// [`RoutingHarness::issue`].
-///
-/// Defaults mirror the paper's common case: issued from node 0 at t=0,
-/// aggregate selections on (§7.1), sharing off, no replicated relations, no
-/// extra facts. Call [`IssueBuilder::submit`] to localize the program,
-/// register the canonical [`QuerySpec`], and disseminate the query.
+/// [`RoutingHarness::issue`]: a [`QueryDef`] bound to the harness it will be
+/// submitted on. Every option and its default is [`QueryDef`]'s. Call
+/// [`IssueBuilder::submit`] to localize the program, register the canonical
+/// [`QuerySpec`], and disseminate the query.
 #[must_use = "the query is only issued when submit() is called"]
 pub struct IssueBuilder<'h> {
     harness: &'h mut RoutingHarness,
-    program: Program,
-    issuer: NodeId,
-    at: SimTime,
-    name: String,
-    replicated: Vec<String>,
-    aggregate_selections: bool,
-    share_results: bool,
-    cache_relation: String,
-    facts: Vec<Tuple>,
-    record_provenance: bool,
+    def: QueryDef,
 }
 
 impl<'h> IssueBuilder<'h> {
-    /// The node that issues (and floods) the query. Default: node 0.
+    fn with(mut self, set: impl FnOnce(QueryDef) -> QueryDef) -> Self {
+        self.def = set(self.def);
+        self
+    }
+
+    /// See [`QueryDef::from`].
     #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
-    pub fn from(mut self, issuer: NodeId) -> Self {
-        self.issuer = issuer;
-        self
+    pub fn from(self, issuer: NodeId) -> Self {
+        self.with(|d| d.from(issuer))
     }
 
-    /// The simulated time at which the query is injected. Default: t=0.
-    pub fn at(mut self, at: SimTime) -> Self {
-        self.at = at;
-        self
+    /// See [`QueryDef::at`].
+    pub fn at(self, at: SimTime) -> Self {
+        self.with(|d| d.at(at))
     }
 
-    /// Human-readable name for logs and experiment output.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
+    /// See [`QueryDef::named`].
+    pub fn named(self, name: impl Into<String>) -> Self {
+        self.with(|d| d.named(name))
     }
 
-    /// Relations replicated to every node during dissemination (query
-    /// constants such as `magicSources` / `magicDsts`).
-    pub fn replicated<I, S>(mut self, relations: I) -> Self
+    /// See [`QueryDef::replicated`].
+    pub fn replicated<I, S>(self, relations: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.replicated = relations.into_iter().map(Into::into).collect();
-        self
+        self.with(|d| d.replicated(relations))
     }
 
-    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
-    pub fn aggregate_selections(mut self, on: bool) -> Self {
-        self.aggregate_selections = on;
-        self
+    /// See [`QueryDef::aggregate_selections`].
+    pub fn aggregate_selections(self, on: bool) -> Self {
+        self.with(|d| d.aggregate_selections(on))
     }
 
-    /// Toggle multi-query result sharing through the cache relation (§7.3).
-    /// Default: off.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.share_results = on;
-        self
+    /// See [`QueryDef::sharing`].
+    pub fn sharing(self, on: bool) -> Self {
+        self.with(|d| d.sharing(on))
     }
 
-    /// Override the cross-query cache relation (queries computing different
-    /// metrics must not share each other's costs, §9.1.3).
-    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
-        self.cache_relation = relation.into();
-        self
+    /// See [`QueryDef::cache_relation`].
+    pub fn cache_relation(self, relation: impl Into<String>) -> Self {
+        self.with(|d| d.cache_relation(relation))
     }
 
-    /// Record derivation provenance for this query, enabling
-    /// [`RoutingHarness::explain`]. Default: off (the evaluation hot path
-    /// then stays byte-identical to a build without provenance).
-    pub fn provenance(mut self, on: bool) -> Self {
-        self.record_provenance = on;
-        self
+    /// See [`QueryDef::provenance`].
+    pub fn provenance(self, on: bool) -> Self {
+        self.with(|d| d.provenance(on))
     }
 
-    /// Facts installed together with the query (replicated relations go to
-    /// every node, located facts only to the node they name).
-    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
-        self.facts = facts;
-        self
+    /// See [`QueryDef::facts`].
+    pub fn facts(self, facts: Vec<Tuple>) -> Self {
+        self.with(|d| d.facts(facts))
     }
 
-    /// Append one fact.
-    pub fn fact(mut self, fact: Tuple) -> Self {
-        self.facts.push(fact);
-        self
+    /// See [`QueryDef::fact`].
+    pub fn fact(self, fact: Tuple) -> Self {
+        self.with(|d| d.fact(fact))
     }
 
     /// Localize, register, and disseminate the query; results decode as
@@ -266,21 +243,7 @@ impl<'h> IssueBuilder<'h> {
     /// Like [`IssueBuilder::submit`], but type the handle with a different
     /// result view (e.g. `ReachEntry` for `reachable(@S,D)` results).
     pub fn submit_view<T: FromTuple>(self) -> Result<QueryHandle<T>> {
-        let replicated: Vec<&str> = self.replicated.iter().map(String::as_str).collect();
-        let localized = Arc::new(localize(&self.program, &replicated)?);
-        let qid = self.harness.next_qid;
-        self.harness.next_qid += 1;
-        let name: Arc<str> = Arc::from(self.name.as_str());
-        let spec = QuerySpec::new(qid, self.name, localized)
-            .with_aggregate_selections(self.aggregate_selections)
-            .with_sharing(self.share_results)
-            .with_cache_relation(self.cache_relation)
-            .with_replicated(self.replicated)
-            .with_facts(self.facts)
-            .with_provenance(self.record_provenance);
-        self.harness.library.register(spec);
-        self.harness.sim.inject(self.at, self.issuer, NetMsg::Install { qid });
-        Ok(QueryHandle { qid, name, _view: PhantomData })
+        self.harness.submit(self.def)
     }
 }
 
@@ -352,19 +315,18 @@ impl RoutingHarness {
     /// canonical [`QuerySpec`], disseminates the query, and returns a typed
     /// [`QueryHandle`].
     pub fn issue(&mut self, program: Program) -> IssueBuilder<'_> {
-        IssueBuilder {
-            harness: self,
-            program,
-            issuer: NodeId::new(0),
-            at: SimTime::ZERO,
-            name: "query".to_string(),
-            replicated: Vec::new(),
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            facts: Vec::new(),
-            record_provenance: false,
-        }
+        IssueBuilder { harness: self, def: QueryDef::new(program) }
+    }
+
+    /// Issue `def`: localize its program, register the canonical
+    /// [`QuerySpec`] under the next query id, and inject the install flood
+    /// at the def's issuer and time.
+    pub(crate) fn submit<T: FromTuple>(&mut self, def: QueryDef) -> Result<QueryHandle<T>> {
+        let (issuer, at) = (def.issuer, def.at);
+        let spec = self.library.register(QuerySpec::new(self.next_qid, def)?);
+        self.next_qid += 1;
+        self.sim.inject(at, issuer, NetMsg::Install { qid: spec.id });
+        Ok(QueryHandle { qid: spec.id, name: Arc::from(spec.name.as_str()), _view: PhantomData })
     }
 
     /// Tear down an issued query across the whole deployment.
@@ -969,6 +931,33 @@ pub(crate) mod tests {
         assert_eq!(spec.cache_relation, "latCache");
         assert_eq!(spec.replicated, vec!["magicDsts".to_string()]);
         assert_eq!(spec.facts.len(), 1);
+    }
+
+    #[test]
+    fn a_rule_failing_at_evaluation_is_counted_and_spares_the_other_rules() {
+        // The extra rule calls a function no node registers: every
+        // evaluation of it fails, which used to vanish without a trace —
+        // at one site for plain rules, at another for aggregates.
+        let outcome = |extra_rule: &str| {
+            let source = BEST_PATH.replace("Query:", &format!("{extra_rule}\n Query:"));
+            let mut harness = RoutingHarness::new(line_topology(4));
+            let handle = harness.issue(parse_program(&source).unwrap()).submit().unwrap();
+            harness.run_until(SimTime::from_secs(30));
+            let mut routes = handle.raw_results(&harness);
+            routes.sort();
+            (routes, harness.processor_stats().eval_errors)
+        };
+        let healthy = outcome("");
+        assert_eq!(healthy.0.len(), 12); // 4*3 ordered pairs
+        assert_eq!(healthy.1, 0);
+        for bad_rule in [
+            "BAD: broken(@S,D,X) :- link(@S,D,C), X = f_noSuchFunction(S,D).",
+            "BAD: worst(@S,max<X>) :- link(@S,D,C), X = f_noSuchFunction(S,D).",
+        ] {
+            let failing = outcome(bad_rule);
+            assert_eq!(healthy.0, failing.0, "the healthy rules' results are unaffected");
+            assert!(failing.1 > 0, "the failing rule's evaluations are counted: {bad_rule}");
+        }
     }
 
     #[test]

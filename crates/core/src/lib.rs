@@ -113,7 +113,5 @@ pub use processor::{
     NetMsg, ProcessorConfig, ProcessorStats, ProvTag, QueryProcessor, ReliabilityConfig,
     StateFootprint,
 };
-pub use query::{QueryId, QueryLibrary, QuerySpec};
-pub use scenario::{
-    Probe, QueryDef, QueryReport, Scenario, ScenarioBuilder, ScenarioReport, ScenarioRun,
-};
+pub use query::{QueryDef, QueryId, QueryLibrary, QuerySpec};
+pub use scenario::{Probe, QueryReport, Scenario, ScenarioBuilder, ScenarioReport, ScenarioRun};

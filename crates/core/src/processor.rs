@@ -212,7 +212,7 @@ impl QueryProcessor {
 
     /// Contents of the cross-query `bestPathCache` table.
     pub fn best_path_cache(&self) -> Vec<Tuple> {
-        self.shared.sorted_tuples("bestPathCache")
+        self.shared.sorted_tuples(crate::query::DEFAULT_CACHE_RELATION)
     }
 
     /// The forwarding table induced by query `qid`: destination → next hop,
@@ -555,14 +555,17 @@ impl QueryProcessor {
                 Some(log) => plan.evaluate_traced(&self.builtins, &source, delta, log),
                 None => plan.evaluate(&self.builtins, &source, delta),
             };
-            let Ok(derived) = derived else { return Vec::new() };
+            let derived = derived?;
             if let Some(log) = log.as_mut() {
                 for firing in log.firings.drain(..) {
                     firings.insert(firing.head, (ri as u32, firing.body));
                 }
             }
-            derived
+            Ok(derived)
         };
+        // A rule that fails at evaluation time derives nothing this round
+        // and is counted; the query's other rules carry on.
+        let mut eval_errors = 0;
 
         let mut derived: Vec<Tuple> = Vec::new();
         // Recomputed aggregate outputs are forced into the delta set even
@@ -582,18 +585,28 @@ impl QueryProcessor {
                 if !inputs.any(|r| deltas.contains_key(r)) {
                     continue;
                 }
-                if let Ok(grouped) = apply_aggregate(head, plan.head_rel(), &run(ri, plan, None)) {
-                    forced.extend(grouped.iter().cloned());
-                    derived.extend(grouped);
+                let grouped = run(ri, plan, None)
+                    .and_then(|raw| apply_aggregate(head, plan.head_rel(), &raw));
+                match grouped {
+                    Ok(grouped) => {
+                        forced.extend(grouped.iter().cloned());
+                        derived.extend(grouped);
+                    }
+                    Err(_) => eval_errors += 1,
                 }
                 continue;
             }
             for (i, rel) in plan.positive_rels().iter().enumerate() {
                 if let Some(delta) = deltas.get(rel).filter(|d| !d.is_empty()) {
-                    derived.extend(run(ri, plan, Some((i, delta))));
+                    match run(ri, plan, Some((i, delta))) {
+                        Ok(tuples) => derived.extend(tuples),
+                        Err(_) => eval_errors += 1,
+                    }
                 }
             }
         }
+
+        self.stats.eval_errors += eval_errors;
 
         // Only force a re-join when the tuple is already the stored value
         // (a genuinely new/changed value is routed by the caller and

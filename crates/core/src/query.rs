@@ -1,23 +1,142 @@
-//! Query specifications and the per-deployment query library.
+//! Query issuances, specifications and the per-deployment query library.
 //!
-//! A [`QuerySpec`] is one routing protocol or route request: a localized
-//! program plus runtime options (aggregate selections, result sharing) and
-//! per-issuance facts (e.g. the `magicSources` / `magicDsts` constants of a
-//! Best-Path-Pairs query). The [`QueryLibrary`] maps query identifiers to
+//! A [`QueryDef`] describes one issuance — the program and every option,
+//! with their defaults — and [`QuerySpec::new`] localizes it into the spec
+//! the nodes execute. A [`QuerySpec`] is one routing protocol or route
+//! request: a localized program plus runtime options (aggregate
+//! selections, result sharing) and per-issuance facts (e.g. the
+//! `magicSources` / `magicDsts` constants of a Best-Path-Pairs query). The [`QueryLibrary`] maps query identifiers to
 //! specs; every node holds the same library, so disseminating a query over
 //! the network only requires flooding its identifier and facts — mirroring
 //! the paper's observation (§3.5) that queries may be "baked in" or
 //! disseminated on first use.
 
-use crate::localize::LocalizedProgram;
+use crate::localize::{localize, LocalizedProgram};
 use crate::results::ResultLogs;
+use dr_datalog::ast::Program;
 use dr_datalog::eval::RuleEval;
-use dr_types::Tuple;
+use dr_netsim::SimTime;
+use dr_types::{NodeId, Result, Tuple};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of an issued query.
 pub type QueryId = u64;
+
+/// The cross-query cache table a sharing query uses unless told otherwise.
+pub(crate) const DEFAULT_CACHE_RELATION: &str = "bestPathCache";
+
+/// A query issuance as plain data: the program plus every option an
+/// issuance has. It is the one place the options and their defaults are
+/// declared — [`crate::IssueBuilder`] wraps one, a
+/// [`crate::ScenarioBuilder`] replays a list of them in order, and
+/// [`QuerySpec::new`] turns one into the spec the nodes execute.
+///
+/// Defaults mirror the paper's common case: issued from node 0 at t=0,
+/// aggregate selections on (§7.1), sharing off, no replicated relations, no
+/// extra facts, no provenance.
+#[derive(Debug, Clone)]
+pub struct QueryDef {
+    program: Program,
+    pub(crate) issuer: NodeId,
+    pub(crate) at: SimTime,
+    name: String,
+    replicated: Vec<String>,
+    aggregate_selections: bool,
+    share_results: bool,
+    cache_relation: String,
+    facts: Vec<Tuple>,
+    record_provenance: bool,
+}
+
+impl QueryDef {
+    /// A query issuance of `program` with the default options.
+    pub fn new(program: Program) -> QueryDef {
+        QueryDef {
+            program,
+            issuer: NodeId::new(0),
+            at: SimTime::ZERO,
+            name: "query".to_string(),
+            replicated: Vec::new(),
+            aggregate_selections: true,
+            share_results: false,
+            cache_relation: DEFAULT_CACHE_RELATION.to_string(),
+            facts: Vec::new(),
+            record_provenance: false,
+        }
+    }
+
+    /// The node that issues (and floods) the query. Default: node 0.
+    #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
+    pub fn from(mut self, issuer: NodeId) -> Self {
+        self.issuer = issuer;
+        self
+    }
+
+    /// The simulated time at which the query is injected. Default: t=0.
+    pub fn at(mut self, at: SimTime) -> Self {
+        self.at = at;
+        self
+    }
+
+    /// Human-readable name for reports, logs and experiment output.
+    pub fn named(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
+        self
+    }
+
+    /// Relations replicated to every node during dissemination (query
+    /// constants such as `magicSources` / `magicDsts`).
+    pub fn replicated<I, S>(mut self, relations: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        self.replicated = relations.into_iter().map(Into::into).collect();
+        self
+    }
+
+    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
+    pub fn aggregate_selections(mut self, on: bool) -> Self {
+        self.aggregate_selections = on;
+        self
+    }
+
+    /// Toggle multi-query result sharing through the cache relation (§7.3).
+    /// Default: off.
+    pub fn sharing(mut self, on: bool) -> Self {
+        self.share_results = on;
+        self
+    }
+
+    /// Override the cross-query cache relation (queries computing different
+    /// metrics must not share each other's costs, §9.1.3).
+    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
+        self.cache_relation = relation.into();
+        self
+    }
+
+    /// Record derivation provenance for this query, enabling
+    /// [`crate::RoutingHarness::explain`]. Default: off (the evaluation hot
+    /// path then stays byte-identical to a build without provenance).
+    pub fn provenance(mut self, on: bool) -> Self {
+        self.record_provenance = on;
+        self
+    }
+
+    /// Facts installed together with the query (replicated relations go to
+    /// every node, located facts only to the node they name).
+    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
+        self.facts = facts;
+        self
+    }
+
+    /// Append one fact.
+    pub fn fact(mut self, fact: Tuple) -> Self {
+        self.facts.push(fact);
+        self
+    }
+}
 
 /// A query (routing protocol or route request) ready for distributed
 /// execution.
@@ -66,21 +185,23 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// Create a spec with default options (aggregate selections on, sharing
-    /// off, no extra facts).
-    pub fn new(id: QueryId, name: impl Into<String>, program: Arc<LocalizedProgram>) -> QuerySpec {
-        QuerySpec {
+    /// Localize `def`'s program and record its options as the canonical
+    /// spec of issuance `id`.
+    pub fn new(id: QueryId, def: QueryDef) -> Result<QuerySpec> {
+        let replicated: Vec<&str> = def.replicated.iter().map(String::as_str).collect();
+        let program = Arc::new(localize(&def.program, &replicated)?);
+        Ok(QuerySpec {
             id,
-            name: name.into(),
+            name: def.name,
             program,
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            replicated: Vec::new(),
-            facts: Vec::new(),
-            record_provenance: false,
+            aggregate_selections: def.aggregate_selections,
+            share_results: def.share_results,
+            cache_relation: def.cache_relation,
+            replicated: def.replicated,
+            facts: def.facts,
+            record_provenance: def.record_provenance,
             static_plans: OnceLock::new(),
-        }
+        })
     }
 
     /// The statically compiled evaluation plans, one per localized rule
@@ -93,42 +214,6 @@ impl QuerySpec {
         Arc::clone(self.static_plans.get_or_init(|| {
             Arc::new(self.program.rules.iter().map(|lrule| RuleEval::new(&lrule.rule)).collect())
         }))
-    }
-
-    /// Builder-style override of the cross-query cache relation name.
-    pub fn with_cache_relation(mut self, relation: impl Into<String>) -> QuerySpec {
-        self.cache_relation = relation.into();
-        self
-    }
-
-    /// Builder-style toggle for aggregate selections.
-    pub fn with_aggregate_selections(mut self, on: bool) -> QuerySpec {
-        self.aggregate_selections = on;
-        self
-    }
-
-    /// Builder-style toggle for multi-query sharing.
-    pub fn with_sharing(mut self, on: bool) -> QuerySpec {
-        self.share_results = on;
-        self
-    }
-
-    /// Builder-style record of the replicated relations.
-    pub fn with_replicated(mut self, replicated: Vec<String>) -> QuerySpec {
-        self.replicated = replicated;
-        self
-    }
-
-    /// Builder-style fact installation.
-    pub fn with_facts(mut self, facts: Vec<Tuple>) -> QuerySpec {
-        self.facts = facts;
-        self
-    }
-
-    /// Builder-style toggle for derivation-provenance recording.
-    pub fn with_provenance(mut self, on: bool) -> QuerySpec {
-        self.record_provenance = on;
-        self
     }
 }
 
@@ -194,11 +279,10 @@ impl QueryLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::localize::localize;
     use dr_datalog::parse_program;
-    use dr_types::{NodeId, Value};
+    use dr_types::Value;
 
-    fn sample_program() -> Arc<LocalizedProgram> {
+    fn sample_def() -> QueryDef {
         let p = parse_program(
             r#"
             NR1: path(@S,D,P,C) :- link(@S,D,C), P = f_initPath(S,D).
@@ -206,15 +290,21 @@ mod tests {
             "#,
         )
         .unwrap();
-        Arc::new(localize(&p, &[]).unwrap())
+        QueryDef::new(p)
+    }
+
+    fn spec(id: QueryId, name: &str) -> QuerySpec {
+        QuerySpec::new(id, sample_def().named(name)).unwrap()
     }
 
     #[test]
     fn spec_builder_options() {
-        let spec = QuerySpec::new(7, "best-path", sample_program())
-            .with_aggregate_selections(false)
-            .with_sharing(true)
-            .with_facts(vec![Tuple::new("magicSources", vec![Value::Node(NodeId::new(3))])]);
+        let def = sample_def()
+            .named("best-path")
+            .aggregate_selections(false)
+            .sharing(true)
+            .fact(Tuple::new("magicSources", vec![Value::Node(NodeId::new(3))]));
+        let spec = QuerySpec::new(7, def).unwrap();
         assert_eq!(spec.id, 7);
         assert_eq!(spec.name, "best-path");
         assert!(!spec.aggregate_selections);
@@ -224,20 +314,23 @@ mod tests {
 
     #[test]
     fn defaults_enable_aggregate_selections_only() {
-        let spec = QuerySpec::new(1, "q", sample_program());
+        let spec = QuerySpec::new(1, sample_def()).unwrap();
+        assert_eq!(spec.name, "query");
+        assert_eq!(spec.cache_relation, "bestPathCache");
         assert!(spec.aggregate_selections);
         assert!(!spec.share_results);
+        assert!(spec.replicated.is_empty());
         assert!(spec.facts.is_empty());
         assert!(!spec.record_provenance);
-        assert!(spec.with_provenance(true).record_provenance);
+        assert!(QuerySpec::new(2, sample_def().provenance(true)).unwrap().record_provenance);
     }
 
     #[test]
     fn library_register_get_remove() {
         let lib = QueryLibrary::new();
         assert!(lib.is_empty());
-        lib.register(QuerySpec::new(1, "a", sample_program()));
-        lib.register(QuerySpec::new(2, "b", sample_program()));
+        lib.register(spec(1, "a"));
+        lib.register(spec(2, "b"));
         assert_eq!(lib.len(), 2);
         assert_eq!(lib.get(1).unwrap().name, "a");
         assert!(lib.get(9).is_none());
@@ -249,8 +342,8 @@ mod tests {
     #[test]
     fn register_replaces_existing_id() {
         let lib = QueryLibrary::new();
-        lib.register(QuerySpec::new(1, "old", sample_program()));
-        lib.register(QuerySpec::new(1, "new", sample_program()));
+        lib.register(spec(1, "old"));
+        lib.register(spec(1, "new"));
         assert_eq!(lib.len(), 1);
         assert_eq!(lib.get(1).unwrap().name, "new");
     }
@@ -259,7 +352,7 @@ mod tests {
     fn library_is_shareable_across_nodes() {
         let lib = Arc::new(QueryLibrary::new());
         let other = Arc::clone(&lib);
-        lib.register(QuerySpec::new(5, "shared", sample_program()));
+        lib.register(spec(5, "shared"));
         assert_eq!(other.get(5).unwrap().name, "shared");
     }
 }

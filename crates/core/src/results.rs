@@ -74,21 +74,23 @@ impl ResultsDelta {
     }
 }
 
-/// Exact, deployment-wide counters of the result change logs (they outlive
-/// the logs they counted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultLogStats {
-    /// Signed changes appended by the nodes.
-    pub changes_logged: u64,
-    /// Log entries folded into deltas, summed over every cursor.
-    pub entries_read: u64,
-    /// Polls answered from a snapshot instead of the log: first polls,
-    /// cursors truncated past, polls of a query with no log.
-    pub resyncs: u64,
-    /// Stored result rows those snapshots visited.
-    pub rows_rescanned: u64,
-    /// Times a log outgrew its bound (and was cut back or put to sleep).
-    pub truncations: u64,
+crate::counters! {
+    /// Exact, deployment-wide counters of the result change logs (they outlive
+    /// the logs they counted).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ResultLogStats {
+        /// Signed changes appended by the nodes.
+        pub changes_logged: u64,
+        /// Log entries folded into deltas, summed over every cursor.
+        pub entries_read: u64,
+        /// Polls answered from a snapshot instead of the log: first polls,
+        /// cursors truncated past, polls of a query with no log.
+        pub resyncs: u64,
+        /// Stored result rows those snapshots visited.
+        pub rows_rescanned: u64,
+        /// Times a log outgrew its bound (and was cut back or put to sleep).
+        pub truncations: u64,
+    }
 }
 
 /// Where a cursor stands in a log: which activation of it, and the absolute

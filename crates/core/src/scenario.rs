@@ -76,120 +76,12 @@
 
 use crate::harness::{average_cost_of, converged_at, QueryHandle, RoutingHarness, Sample};
 use crate::processor::{NetMsg, ProcessorStats, ReliabilityConfig};
-use dr_datalog::ast::Program;
+pub use crate::query::QueryDef;
 use dr_netsim::timeline::{EventSource, TimelineEvent};
 use dr_netsim::{FaultPlan, LinkParams, SimDuration, SimTime, Topology};
 use dr_types::view::CostView;
-use dr_types::{Error, NodeId, Result, RouteEntry, Tuple};
+use dr_types::{Error, NodeId, Result, RouteEntry};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A declarative query issuance: everything `RoutingHarness::issue`'s
-/// fluent builder accepts, as plain data the scenario replays in order.
-///
-/// Defaults mirror the paper's common case (and [`crate::IssueBuilder`]):
-/// issued from node 0 at t=0, aggregate selections on, sharing off.
-#[derive(Debug, Clone)]
-pub struct QueryDef {
-    program: Program,
-    issuer: NodeId,
-    at: SimTime,
-    name: String,
-    replicated: Vec<String>,
-    aggregate_selections: bool,
-    share_results: bool,
-    cache_relation: String,
-    facts: Vec<Tuple>,
-}
-
-impl QueryDef {
-    /// A query issuance of `program` with the default options.
-    pub fn new(program: Program) -> QueryDef {
-        QueryDef {
-            program,
-            issuer: NodeId::new(0),
-            at: SimTime::ZERO,
-            name: "query".to_string(),
-            replicated: Vec::new(),
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            facts: Vec::new(),
-        }
-    }
-
-    /// The node that issues (and floods) the query. Default: node 0.
-    #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
-    pub fn from(mut self, issuer: NodeId) -> Self {
-        self.issuer = issuer;
-        self
-    }
-
-    /// The simulated time at which the query is injected. Default: t=0.
-    pub fn at(mut self, at: SimTime) -> Self {
-        self.at = at;
-        self
-    }
-
-    /// Human-readable name for the report and logs.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Relations replicated to every node during dissemination.
-    pub fn replicated<I, S>(mut self, relations: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.replicated = relations.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
-    pub fn aggregate_selections(mut self, on: bool) -> Self {
-        self.aggregate_selections = on;
-        self
-    }
-
-    /// Toggle multi-query result sharing (§7.3). Default: off.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.share_results = on;
-        self
-    }
-
-    /// Override the cross-query cache relation (§9.1.3).
-    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
-        self.cache_relation = relation.into();
-        self
-    }
-
-    /// Facts installed together with the query.
-    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
-        self.facts = facts;
-        self
-    }
-
-    /// Append one fact.
-    pub fn fact(mut self, fact: Tuple) -> Self {
-        self.facts.push(fact);
-        self
-    }
-
-    fn submit_on(&self, harness: &mut RoutingHarness) -> Result<QueryHandle<RouteEntry>> {
-        harness
-            .issue(self.program.clone())
-            .from(self.issuer)
-            .at(self.at)
-            .named(self.name.clone())
-            .replicated(self.replicated.iter().cloned())
-            .aggregate_selections(self.aggregate_selections)
-            .sharing(self.share_results)
-            .cache_relation(self.cache_relation.clone())
-            .facts(self.facts.clone())
-            .submit()
-    }
-}
 
 /// The measurements a scenario records while its timeline plays out.
 ///
@@ -608,8 +500,8 @@ impl Scenario {
         let detection_s = harness.sim().config().failure_detection_delay.as_secs_f64();
 
         let mut handles = Vec::with_capacity(spec.queries.len());
-        for def in &spec.queries {
-            handles.push(def.submit_on(&mut harness)?);
+        for def in spec.queries {
+            handles.push(harness.submit(def)?);
         }
 
         // Warm up to the sampling window, then schedule the timeline. This
@@ -890,7 +782,7 @@ mod tests {
     use super::*;
     use dr_datalog::parse_program;
     use dr_netsim::SimConfig;
-    use dr_types::Cost;
+    use dr_types::{Cost, Value};
 
     const BEST_PATH: &str = r#"
         #key(link, 0, 1).
@@ -955,6 +847,24 @@ mod tests {
         assert!(report.events.is_empty());
         // samples are monotone in time
         assert!(q.samples.windows(2).all(|w| w[0].time < w[1].time));
+    }
+
+    #[test]
+    fn scenario_queries_can_record_provenance() {
+        let mut run = ScenarioBuilder::over(line(4))
+            .query(best_path_def().provenance(true))
+            .until(SimTime::from_secs(20))
+            .execute()
+            .unwrap();
+        let qid = run.handles[0].id();
+        let route = run.handles[0]
+            .raw_results_at(&run.harness, n(0))
+            .into_iter()
+            .find(|t| t.field(1) == Some(&Value::Node(n(3))))
+            .expect("route 0 -> 3 derived");
+        let tree = run.harness.explain(qid, &route).expect("explainable");
+        assert!(tree.is_fully_resolved(), "no Missing nodes in a live route:\n{tree}");
+        assert!(run.harness.processor_stats().prov_recorded > 0);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! replaced by one [`ErrorCode::Overloaded`] notice and is closed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 
 use dr_core::{ExplainError, NetMsg, QueryId, ResultCursor, RoutingHarness};
 use dr_datalog::parse_program;
@@ -427,51 +428,13 @@ impl RoutingService {
             c.facts_injected,
             c.errors,
         ));
-        let p = self.harness.processor_stats();
-        lines.push(format!(
-            "{{\"type\":\"processor\",\"tuples_received\":{},\"tuples_sent\":{},\
-             \"tuples_derived\":{},\"tuples_pruned\":{},\"tombstones_collapsed\":{},\
-             \"tuples_rejected\":{},\"prune_evicted\":{},\"batches\":{},\
-             \"retransmits\":{},\"dups_dropped\":{},\"acks_sent\":{},\
-             \"gaps_skipped\":{},\"prov_recorded\":{},\"prov_fetches\":{}}}",
-            p.tuples_received,
-            p.tuples_sent,
-            p.tuples_derived,
-            p.tuples_pruned,
-            p.tombstones_collapsed,
-            p.tuples_rejected,
-            p.prune_evicted,
-            p.batches,
-            p.retransmits,
-            p.dups_dropped,
-            p.acks_sent,
-            p.gaps_skipped,
-            p.prov_recorded,
-            p.prov_fetches,
-        ));
-        let f = self.harness.state_footprint();
-        lines.push(format!(
-            "{{\"type\":\"footprint\",\"instances\":{},\"stored_tuples\":{},\
-             \"pending_tuples\":{},\"prune_entries\":{},\"shared_relations\":{},\
-             \"shared_tuples\":{},\"prov_records\":{}}}",
-            f.instances,
-            f.stored_tuples,
-            f.pending_tuples,
-            f.prune_entries,
-            f.shared_relations,
-            f.shared_tuples,
-            f.prov_records,
-        ));
+        lines.push(json_counters("processor", self.harness.processor_stats().fields()));
+        lines.push(json_counters("footprint", self.harness.state_footprint().fields()));
         lines.push(format!(
             "{{\"type\":\"overhead\",\"per_node_kb\":{:.3}}}",
             self.harness.per_node_overhead_kb()
         ));
-        let r = self.harness.result_log_stats();
-        lines.push(format!(
-            "{{\"type\":\"results\",\"changes_logged\":{},\"entries_read\":{},\
-             \"resyncs\":{},\"rows_rescanned\":{},\"truncations\":{}}}",
-            r.changes_logged, r.entries_read, r.resyncs, r.rows_rescanned, r.truncations,
-        ));
+        lines.push(json_counters("results", self.harness.result_log_stats().fields()));
         for (start, bytes_per_node_s) in self.harness.sim().metrics().per_node_bandwidth_series() {
             lines.push(format!(
                 "{{\"type\":\"bandwidth\",\"t_s\":{:.1},\"bytes_per_node_s\":{:.1}}}",
@@ -505,22 +468,24 @@ pub enum Reply {
     Dropped,
 }
 
-/// Connection-level counters, reported as the `server` stats line.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Connections opened.
-    pub accepted: u64,
-    /// Connections closed, whichever side ended them.
-    pub closed: u64,
-    /// Connections closed for exceeding the hard queue limit.
-    pub overflow_disconnects: u64,
-    /// Undecodable payloads and frames answered with `BadRequest`.
-    pub malformed: u64,
-    /// Times the shell's loop blocked and woke (0 for the in-process hub,
-    /// which never sleeps).
-    pub wakeups: u64,
-    /// Connection events handled: opens, requests, malformed payloads, closes.
-    pub events: u64,
+dr_core::counters! {
+    /// Connection-level counters, reported as the `server` stats line.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerCounters {
+        /// Connections opened.
+        pub accepted: u64,
+        /// Connections closed, whichever side ended them.
+        pub closed: u64,
+        /// Connections closed for exceeding the hard queue limit.
+        pub overflow_disconnects: u64,
+        /// Undecodable payloads and frames answered with `BadRequest`.
+        pub malformed: u64,
+        /// Times the shell's loop blocked and woke (0 for the in-process hub,
+        /// which never sleeps).
+        pub wakeups: u64,
+        /// Connection events handled: opens, requests, malformed payloads, closes.
+        pub events: u64,
+    }
 }
 
 #[derive(Debug, Default)]
@@ -772,18 +737,20 @@ impl Connections {
 
     fn server_line(&self) -> String {
         let c = &self.counters;
-        format!(
-            "{{\"type\":\"server\",\"connections_open\":{},\"accepted\":{},\"closed\":{},\
-             \"overflow_disconnects\":{},\"malformed\":{},\"wakeups\":{},\"events\":{}}}",
-            c.accepted - c.closed,
-            c.accepted,
-            c.closed,
-            c.overflow_disconnects,
-            c.malformed,
-            c.wakeups,
-            c.events,
-        )
+        let open = std::iter::once(("connections_open", c.accepted - c.closed));
+        json_counters("server", open.chain(c.fields()))
     }
+}
+
+/// One line of the stats snapshot: `{"type":"<kind>","<name>":<value>,...}`,
+/// the counters in the order given.
+fn json_counters(kind: &str, fields: impl Iterator<Item = (&'static str, u64)>) -> String {
+    let mut line = format!("{{\"type\":\"{kind}\"");
+    for (name, value) in fields {
+        write!(line, ",\"{name}\":{value}").expect("writing to a String cannot fail");
+    }
+    line.push('}');
+    line
 }
 
 /// Move pushes from `conn`'s session outbox into its queue while the queue
@@ -826,6 +793,27 @@ mod tests {
 
     fn service(nodes: usize) -> RoutingService {
         RoutingService::new(default_topology(nodes), ServiceConfig::default())
+    }
+
+    #[test]
+    fn wire_default_options_are_the_engines_issuance_defaults() {
+        // `IssueOptions::default` spells the defaults again because it is
+        // the wire format's; it must not drift from `QueryDef`'s.
+        let mut svc = service(4);
+        let (sid, _) = svc.connect("t");
+        let issue =
+            Request::IssueQuery { program: BEST_PATH.into(), options: IssueOptions::default() };
+        let Response::Issued { qid } = svc.apply(sid, issue) else { panic!("issue refused") };
+        let wire = svc.harness().library().get(qid).expect("spec registered");
+        let def = dr_core::QueryDef::new(parse_program(BEST_PATH).unwrap());
+        let engine = dr_core::QuerySpec::new(qid, def).unwrap();
+        assert_eq!(wire.name, engine.name);
+        assert_eq!(wire.aggregate_selections, engine.aggregate_selections);
+        assert_eq!(wire.share_results, engine.share_results);
+        assert_eq!(wire.cache_relation, engine.cache_relation);
+        assert_eq!(wire.replicated, engine.replicated);
+        assert_eq!(wire.facts, engine.facts);
+        assert_eq!(wire.record_provenance, engine.record_provenance);
     }
 
     #[test]
@@ -1162,6 +1150,29 @@ mod tests {
         let Response::Stats { lines } = call(&mut table, id, Request::Stats) else {
             panic!("stats refused")
         };
+        let line = |kind: &str| {
+            let tag = format!("{{\"type\":\"{kind}\"");
+            lines.iter().find(|l| l.starts_with(&tag)).expect("line present").as_str()
+        };
+        assert_eq!(
+            line("processor"),
+            "{\"type\":\"processor\",\"tuples_received\":0,\"tuples_sent\":0,\
+             \"tuples_derived\":0,\"tuples_pruned\":0,\"tombstones_collapsed\":0,\
+             \"tuples_rejected\":0,\"prune_evicted\":0,\"batches\":0,\
+             \"retransmits\":0,\"dups_dropped\":0,\"acks_sent\":0,\
+             \"gaps_skipped\":0,\"prov_recorded\":0,\"prov_fetches\":0,\"eval_errors\":0}"
+        );
+        assert_eq!(
+            line("footprint"),
+            "{\"type\":\"footprint\",\"instances\":0,\"stored_tuples\":0,\
+             \"pending_tuples\":0,\"prune_entries\":0,\"shared_relations\":0,\
+             \"shared_tuples\":0,\"prov_records\":0}"
+        );
+        assert_eq!(
+            line("results"),
+            "{\"type\":\"results\",\"changes_logged\":0,\"entries_read\":0,\
+             \"resyncs\":0,\"rows_rescanned\":0,\"truncations\":0}"
+        );
         assert_eq!(
             lines.last().map(String::as_str),
             Some(

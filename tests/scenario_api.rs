@@ -1,7 +1,8 @@
 //! Scenario-API determinism: the same builder with the same seeds must
 //! reproduce the same `ScenarioReport`, byte for byte — events, samples,
 //! and recovery times included. This is the property the figure binaries
-//! rely on when their CSVs are diffed across machines and runs.
+//! rely on when their CSVs are diffed across machines and runs. Also: a
+//! scenario query's options reach the spec the nodes execute.
 
 use declarative_routing::engine::scenario::{Probe, QueryDef, ScenarioBuilder, ScenarioReport};
 use declarative_routing::netsim::{SimDuration, SimTime};
@@ -47,6 +48,28 @@ fn seeded_scenario(nodes: usize, seed: u64) -> ScenarioBuilder {
 
 fn run_seeded(nodes: usize, seed: u64) -> ScenarioReport {
     seeded_scenario(nodes, seed).run().expect("seeded scenario runs")
+}
+
+#[test]
+fn scenario_queries_register_the_spec_their_def_describes() {
+    let def = QueryDef::new(best_path())
+        .named("spec-check")
+        .aggregate_selections(false)
+        .sharing(true)
+        .cache_relation("latCache");
+    let topology =
+        OverlayParams { nodes: 6, ..OverlayParams::planetlab(OverlayKind::DenseUunet, 3) }
+            .generate();
+    let run = ScenarioBuilder::over(topology)
+        .query(def)
+        .until(SimTime::from_secs(1))
+        .execute()
+        .expect("scenario runs");
+    assert_eq!(run.report.queries[0].name, "spec-check");
+    let spec = run.harness.library().get(run.handles[0].id()).expect("spec registered");
+    assert_eq!(spec.name, "spec-check");
+    assert!(!spec.aggregate_selections && spec.share_results && !spec.record_provenance);
+    assert_eq!(spec.cache_relation, "latCache");
 }
 
 #[test]
