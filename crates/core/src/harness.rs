@@ -336,7 +336,7 @@ impl RoutingHarness {
     /// instance with its stored tuples, pending delta buffers, prune maps,
     /// and compiled plans; the shared cache relation when this query was
     /// its last user; and the library's spec entry (which releases the
-    /// localized program, its `RelCatalog`, and the statically compiled
+    /// localized program, its catalog, and the statically compiled
     /// plans once the last node lets go of the `Arc`). Late messages for
     /// the query are dropped rather than resurrecting it. Run the
     /// simulation past `at` (plus flood propagation time) for the teardown

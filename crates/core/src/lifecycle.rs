@@ -281,7 +281,7 @@ impl QueryProcessor {
         }
         // The instance owns everything the query accumulated here — stored
         // tuples, pending deltas, prune state, compiled plans — and the
-        // spec `Arc` (static plans, `RelCatalog`) is freed when the last
+        // spec `Arc` (static plans, catalog) is freed when the last
         // node lets go. The shared cache relation goes with its last user:
         // no remaining query could refresh the paths it holds. The result
         // rows that die with the instance leave through the result log.

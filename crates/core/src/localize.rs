@@ -29,7 +29,7 @@
 use dr_datalog::ast::{Atom, Literal, Program, Rule, Term};
 use dr_datalog::catalog::Catalog;
 use dr_datalog::rewrite::{aggregate_selections, AggSelection};
-use dr_types::{Error, RelCatalog, RelId, Result};
+use dr_types::{Error, RelId, Result};
 use std::collections::{BTreeSet, HashMap};
 
 /// A shipping requirement: copies of `source_relation` tuples must be sent
@@ -72,13 +72,10 @@ pub struct LocalizedProgram {
     /// Shipping requirements, deduplicated.
     pub ships: Vec<ShipSpec>,
     /// Catalog of the original program (location fields, keys, base/derived),
-    /// extended with entries for the cache relations.
+    /// extended with entries for the cache relations. It binds every
+    /// relation the query can store or ship: a node drops a received tuple
+    /// whose relation it does not bind (see `NetMsg::Tuples`).
     pub catalog: Catalog,
-    /// The query's symbol catalog: every relation the query can store or
-    /// ship, bound in a deterministic traversal order of the program, so
-    /// every node that localizes the same program derives identical
-    /// name↔id bindings (the `Install` message carries this binding).
-    pub rel_catalog: RelCatalog,
     /// Relations whose contents are replicated to every participating node.
     pub replicated: BTreeSet<RelId>,
     /// Aggregate-selection opportunities detected in the program (§7.1).
@@ -124,23 +121,6 @@ pub fn localize(program: &Program, replicated: &[&str]) -> Result<LocalizedProgr
     let mut catalog = Catalog::from_program(program)?;
     let agg_selections = aggregate_selections(program);
     let replicated: BTreeSet<RelId> = replicated.iter().map(|s| RelId::intern(s)).collect();
-
-    // The per-query symbol catalog: bind every relation in a fixed traversal
-    // order (rule heads, then body atoms, rule by rule; then queries; cache
-    // relations are appended as localization mints them). Localizing the
-    // same program anywhere yields the identical bindings.
-    let mut rel_catalog = RelCatalog::new();
-    for rule in &program.rules {
-        rel_catalog.intern(&rule.head.relation);
-        for lit in &rule.body {
-            if let Literal::Atom(a) | Literal::NegAtom(a) = lit {
-                rel_catalog.intern(&a.relation);
-            }
-        }
-    }
-    for q in &program.queries {
-        rel_catalog.intern(&q.relation);
-    }
 
     let mut rules = Vec::new();
     let mut facts = Vec::new();
@@ -248,7 +228,7 @@ pub fn localize(program: &Program, replicated: &[&str]) -> Result<LocalizedProgr
                                 })?;
                             let cache_relation = format!("{}__to_{}", atom.relation, rule_label);
                             let source_rel = RelId::intern(&atom.relation);
-                            let cache_rel = rel_catalog.intern(&cache_relation);
+                            let cache_rel = RelId::intern(&cache_relation);
                             if !ships.iter().any(|s: &ShipSpec| {
                                 s.source_relation == source_rel && s.cache_relation == cache_rel
                             }) {
@@ -314,7 +294,6 @@ pub fn localize(program: &Program, replicated: &[&str]) -> Result<LocalizedProgr
         facts,
         ships,
         catalog,
-        rel_catalog,
         replicated,
         agg_selections,
         result_relations,
@@ -373,10 +352,10 @@ mod tests {
 
         // Result relation captured from the Query statement.
         assert_eq!(localized.result_relations, vec![dr_types::RelId::intern("bestPath")]);
-        // The symbol catalog binds every relation, including the minted
-        // cache relation, deterministically.
-        assert!(localized.rel_catalog.contains(ship.cache_relation));
-        assert!(localized.rel_catalog.contains(dr_types::RelId::intern("path")));
+        // The catalog binds every relation, including the minted cache
+        // relation.
+        assert!(localized.catalog.get(ship.cache_relation).is_some());
+        assert!(localized.catalog.get("path").is_some());
         // Key pragmas survive into the catalog.
         assert!(localized
             .key_declarations()

@@ -30,7 +30,7 @@
 
 use crate::admission::{Admission, Verdict};
 use crate::lifecycle::Instance;
-use crate::query::{QueryId, QueryLibrary};
+use crate::query::{QueryId, QueryLibrary, QuerySpec};
 use crate::transport::Streams;
 use dr_datalog::builtins::Builtins;
 use dr_datalog::database::{Database, Scan};
@@ -648,14 +648,14 @@ impl QueryProcessor {
         }
     }
 
-    /// True when a received tuple's relation tag is one this query's symbol
-    /// catalog binds (or the deployment-wide neighbor-table relation): the
-    /// decode step of the wire format.
+    /// True when a received tuple's relation is one this query's catalog
+    /// binds, its cache relation, or the deployment-wide neighbor-table
+    /// relation: the decode step of the wire format.
     fn tuple_decodes(&self, qid: QueryId, tuple: &Tuple) -> bool {
         let rel = tuple.rel();
         rel == self.link_rel
             || self.instances.get(&qid).is_some_and(|instance| {
-                instance.spec.program.rel_catalog.contains(rel) || rel == instance.cache_rel
+                instance.spec.program.catalog.get(rel).is_some() || rel == instance.cache_rel
             })
     }
 
@@ -732,6 +732,19 @@ impl QueryProcessor {
         self.stats.prov_fetches += 1;
         let record = self.provenance(qid).and_then(|store| store.get(id)).cloned().map(Box::new);
         send(ctx, requester, NetMsg::ProvReply { qid, node: self.node, id, record });
+    }
+}
+
+impl QuerySpec {
+    /// True when tuples of relation `name` may enter this query's dataflow:
+    /// the set a node's receive path accepts (its catalog's relations, its
+    /// cache relation, and the deployment-wide `link` table). Looks `name`
+    /// up without interning it, so checking a name from outside the process
+    /// leaves no trace in the interner.
+    pub fn binds(&self, name: &str) -> bool {
+        name == LINK_RELATION
+            || name == self.cache_relation
+            || RelId::lookup(name).is_some_and(|rel| self.program.catalog.get(rel).is_some())
     }
 }
 

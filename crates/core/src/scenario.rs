@@ -78,7 +78,7 @@ use crate::harness::{average_cost_of, converged_at, QueryHandle, RoutingHarness,
 use crate::processor::{NetMsg, ProcessorStats, ReliabilityConfig};
 pub use crate::query::QueryDef;
 use dr_netsim::timeline::{EventSource, TimelineEvent};
-use dr_netsim::{FaultPlan, LinkParams, SimDuration, SimTime, Topology};
+use dr_netsim::{FaultPlan, SimDuration, SimTime, Topology};
 use dr_types::view::CostView;
 use dr_types::{Error, NodeId, Result, RouteEntry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -94,7 +94,7 @@ pub enum Probe {
     /// Enabled by default; costs one result-set decode per query per
     /// sample, so disable it (`probes([...])`) for large query streams.
     ResultSets,
-    /// The AvgPathRTT series of the tracked query, excluding pairs whose
+    /// The AvgPathRTT series of the first query, excluding pairs whose
     /// endpoints are currently failed and routes traversing a currently
     /// failed node (Figs. 12–15).
     PathRtt,
@@ -109,7 +109,7 @@ pub enum Probe {
     /// [`Recovery::recovery_s`] *excludes* the failure-detection delay,
     /// per the paper's definition.
     Recovery,
-    /// Best-path change counting for the tracked query (Table 3): pairs
+    /// Best-path change counting for the first query (Table 3): pairs
     /// whose path differs between consecutive samples, measured against
     /// the pair set present when the sampling window opened.
     PathChanges,
@@ -220,7 +220,7 @@ pub struct ScenarioReport {
     pub queries: Vec<QueryReport>,
     /// The resolved timeline, in execution order.
     pub events: Vec<EventRecord>,
-    /// AvgPathRTT series `(time_s, ms)` of the tracked query
+    /// AvgPathRTT series `(time_s, ms)` of the first query
     /// ([`Probe::PathRtt`]).
     pub path_rtt: Vec<(f64, f64)>,
     /// Reported AvgLinkRTT series `(time_s, ms)` ([`Probe::LinkRtt`]).
@@ -275,7 +275,6 @@ pub struct ScenarioBuilder {
     sample_from: SimTime,
     horizon: SimTime,
     probes: Vec<Probe>,
-    tracked: usize,
     fault_plan: Option<FaultPlan>,
     reliability: Option<ReliabilityConfig>,
 }
@@ -293,7 +292,6 @@ impl ScenarioBuilder {
             sample_from: SimTime::ZERO,
             horizon: SimTime::from_secs(60),
             probes: vec![Probe::ResultSets],
-            tracked: 0,
             fault_plan: None,
             reliability: None,
         }
@@ -355,11 +353,6 @@ impl ScenarioBuilder {
     /// Rejoin `node` at `at`.
     pub fn join(self, at: SimTime, node: NodeId) -> Self {
         self.event(TimelineEvent::NodeJoin { at, node })
-    }
-
-    /// Change the directed link `from → to` to `params` at `at`.
-    pub fn link_change(self, at: SimTime, from: NodeId, to: NodeId, params: LinkParams) -> Self {
-        self.event(TimelineEvent::LinkChange { at, from, to, params })
     }
 
     /// Deliver `msg` to `node` at `at` (ad-hoc [`NetMsg`] injection).
@@ -427,13 +420,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Which query the route-level probes (PathRtt / Recovery /
-    /// PathChanges) observe. Default: the first.
-    pub fn track_query(mut self, index: usize) -> Self {
-        self.tracked = index;
-        self
-    }
-
     /// Validate and freeze the scenario.
     pub fn build(self) -> Result<Scenario> {
         if self.sample_every == SimDuration::ZERO {
@@ -442,12 +428,10 @@ impl ScenarioBuilder {
         let route_probes = [Probe::PathRtt, Probe::Recovery, Probe::PathChanges]
             .iter()
             .any(|p| self.probes.contains(p));
-        if route_probes && self.tracked >= self.queries.len() {
-            return Err(Error::config(format!(
-                "route-level probes track query #{} but the scenario issues {} queries",
-                self.tracked,
-                self.queries.len()
-            )));
+        if route_probes && self.queries.is_empty() {
+            return Err(Error::config(
+                "route-level probes observe the first query, but none is issued",
+            ));
         }
         Ok(Scenario { spec: self })
     }
@@ -516,7 +500,7 @@ impl Scenario {
             event.schedule(harness.sim_mut());
         }
 
-        let tracked = if route_probes { handles.get(spec.tracked).cloned() } else { None };
+        let tracked = if route_probes { handles.first().cloned() } else { None };
         let window_start_bytes = harness.sim().metrics().total_bytes();
 
         let mut samples: Vec<Vec<Sample>> = vec![Vec::new(); handles.len()];
@@ -631,7 +615,7 @@ impl Scenario {
             if want(Probe::ResultSets) {
                 for (i, handle) in handles.iter().enumerate() {
                     let sample = match &mut tracked_sample {
-                        Some(_) if i == spec.tracked => tracked_sample.take().expect("checked"),
+                        Some(_) if i == 0 => tracked_sample.take().expect("checked"),
                         _ => sample_query(&harness, handle)?,
                     };
                     samples[i].push(sample);
@@ -769,7 +753,7 @@ pub fn sample_query<T: CostView>(
     })
 }
 
-/// The tracked query's finite best routes, keyed by (source, destination).
+/// The observed query's finite best routes, keyed by (source, destination).
 fn best_paths(
     harness: &RoutingHarness,
     handle: &QueryHandle<RouteEntry>,
@@ -781,7 +765,7 @@ fn best_paths(
 mod tests {
     use super::*;
     use dr_datalog::parse_program;
-    use dr_netsim::SimConfig;
+    use dr_netsim::{LinkParams, SimConfig};
     use dr_types::{Cost, Value};
 
     const BEST_PATH: &str = r#"
@@ -1000,7 +984,7 @@ mod tests {
             .probe(Probe::PathRtt)
             .build()
             .err()
-            .expect("route probes need a tracked query");
+            .expect("route probes need a query");
         assert!(matches!(err, Error::Config(_)), "{err}");
     }
 

@@ -49,8 +49,8 @@ counters! {
         /// dominated infinite-cost derivations dropped instead of being stored,
         /// shipped, and re-joined.
         pub tombstones_collapsed: u64,
-        /// Received tuples dropped because their relation tag is not bound by
-        /// the query's symbol catalog (a stale or corrupt wire id).
+        /// Received tuples dropped because their relation is not bound by
+        /// the query's catalog (a stale or corrupt wire id).
         pub tuples_rejected: u64,
         /// Aggregate-selection prune-state entries evicted because the ∞-cost
         /// tombstone of their recorded best arrived (keeps the per-query prune

@@ -22,12 +22,11 @@ pub enum NetMsg {
     /// A batch of tuples addressed to the receiving node. Each tuple's
     /// relation travels as its fixed-width interned [`RelId`] instead of
     /// the relation name; the receiver validates every id against the
-    /// query's symbol catalog (`rel_catalog`) and drops unbound ids. In
+    /// query's localized `catalog` and drops (and counts) unbound ids. In
     /// this single-process simulation the interned id *is* the wire
-    /// representation; a multi-process transport must translate through
-    /// the catalog's dense wire tags (`RelCatalog::wire_tag` /
-    /// `RelCatalog::decode`) at the boundary instead, since raw interner
-    /// ids are only meaningful within one process.
+    /// representation; a multi-process transport must ship a
+    /// process-independent form of the relation instead, since raw
+    /// interner ids are only meaningful within one process.
     Tuples {
         /// The query these tuples belong to (also selects the catalog the
         /// receiver validates the relation ids against).

@@ -88,7 +88,6 @@ struct Subscription {
 /// Per-session state.
 #[derive(Debug)]
 struct Session {
-    client: String,
     /// Queries this session issued and still owns.
     queries: BTreeSet<QueryId>,
     /// Subscriptions, keyed by query (one cursor per query per session).
@@ -174,18 +173,14 @@ impl RoutingService {
         self.owners.len()
     }
 
-    /// Open a session. The transport calls this on `Request::Connect`.
-    pub fn connect(&mut self, client: &str) -> (u64, Response) {
+    /// Open a session. The transport calls this on `Request::Connect`; the
+    /// client's name is not kept.
+    pub fn connect(&mut self, _client: &str) -> (u64, Response) {
         let sid = self.next_session;
         self.next_session += 1;
         self.sessions.insert(
             sid,
-            Session {
-                client: client.to_string(),
-                queries: BTreeSet::new(),
-                subs: BTreeMap::new(),
-                outbox: VecDeque::new(),
-            },
+            Session { queries: BTreeSet::new(), subs: BTreeMap::new(), outbox: VecDeque::new() },
         );
         self.counters.sessions_opened += 1;
         let resp = Response::Connected {
@@ -315,6 +310,12 @@ impl RoutingService {
                     return self
                         .error(ErrorCode::BadRequest, format!("node {node} outside the topology"));
                 }
+                let spec = self.harness.library().get(qid);
+                let unbound =
+                    facts.iter().find(|f| !spec.as_ref().is_some_and(|s| s.binds(&f.relation)));
+                if let Some(fact) = unbound {
+                    return self.unbound(qid, &fact.relation);
+                }
                 let batch: Vec<_> = facts.iter().map(|f| (f.to_tuple(), None)).collect();
                 let count = batch.len() as u32;
                 let at = self.harness.now();
@@ -329,11 +330,26 @@ impl RoutingService {
         }
     }
 
+    /// Refuse a client tuple whose relation query `qid` does not bind.
+    /// Checked before the tuple is built, so the name is never interned.
+    fn unbound(&mut self, qid: QueryId, relation: &str) -> Response {
+        self.error(
+            ErrorCode::BadRequest,
+            format!("query {qid} does not bind relation {relation:?}"),
+        )
+    }
+
     /// Materialize a derivation tree. Explanations are read-only, so any
     /// connected session may ask about any live query (not just its own);
     /// the harness types the failure modes — unknown/torn-down queries and
     /// tuples nobody stores come back as errors, never a wedge or a panic.
     fn explain(&mut self, qid: QueryId, tuple: &WireTuple) -> Response {
+        let Some(spec) = self.harness.library().get(qid) else {
+            return self.error(ErrorCode::UnknownQuery, ExplainError::UnknownQuery.to_string());
+        };
+        if !spec.binds(&tuple.relation) {
+            return self.unbound(qid, &tuple.relation);
+        }
         let t = tuple.to_tuple();
         match self.harness.explain(qid, &t) {
             Ok(tree) => Response::Explanation { qid, nodes: flatten_tree(&tree) },
@@ -443,11 +459,6 @@ impl RoutingService {
             ));
         }
         lines
-    }
-
-    /// The connected client names (diagnostics).
-    pub fn client_names(&self) -> Vec<String> {
-        self.sessions.values().map(|s| s.client.clone()).collect()
     }
 }
 

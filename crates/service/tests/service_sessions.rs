@@ -354,3 +354,40 @@ fn dropped_connection_tears_down_its_queries() {
         assert_eq!(svc.harness().library().len(), 0);
     });
 }
+
+/// A client's relation name is checked against the query at the door:
+/// `InjectFacts` and `Explain` naming a relation the query does not bind
+/// answer `BadRequest` naming it, inject nothing, and leave the name
+/// uninterned; `link` facts are still delivered and counted.
+#[test]
+fn unbound_relations_are_refused_without_interning_them() {
+    let mut svc = RoutingService::new(default_topology(NODES), ServiceConfig::default());
+    let (sid, _) = svc.connect("door");
+    let qid = issue_best_path(&mut svc, sid);
+    svc.apply(sid, Request::Advance { millis: 5_000 });
+    let fresh = |name: &str| WireTuple {
+        relation: name.to_string(),
+        values: vec![WireValue::Node(0), WireValue::Node(1), WireValue::Cost(1.0)],
+    };
+    let refused = |resp: Response, name: &str| match resp {
+        Response::Error { code: dr_service::ErrorCode::BadRequest, message } => {
+            assert!(message.contains(name), "{message}")
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    };
+
+    let inject_name = "door_inject_never_bound";
+    let facts = vec![fresh("link"), fresh(inject_name)];
+    refused(svc.apply(sid, Request::InjectFacts { qid, node: 0, facts }), inject_name);
+    let explain_name = "door_explain_never_bound";
+    refused(svc.apply(sid, Request::Explain { qid, tuple: fresh(explain_name) }), explain_name);
+    assert_eq!(dr_types::RelId::lookup(inject_name), None);
+    assert_eq!(dr_types::RelId::lookup(explain_name), None);
+    assert_eq!(svc.counters().facts_injected, 0, "a refused batch delivers nothing");
+
+    let facts = vec![fresh("link"), fresh("link")];
+    let resp = svc.apply(sid, Request::InjectFacts { qid, node: 0, facts });
+    assert_eq!(resp, Response::Injected { qid, count: 2 });
+    svc.apply(sid, Request::Advance { millis: 1_000 });
+    assert_eq!(svc.harness().processor_stats().tuples_rejected, 0);
+}

@@ -25,7 +25,7 @@ pub mod view;
 pub use cost::Cost;
 pub use error::{Error, Result};
 pub use node::NodeId;
-pub use rel::{RelCatalog, RelId};
+pub use rel::RelId;
 pub use tuple::{Tuple, TupleId, TupleKey};
 pub use value::{PathVector, Value};
 pub use view::{CostEntry, CostView, FromTuple, ReachEntry, RouteEntry, TreeEdge};

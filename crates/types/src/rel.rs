@@ -13,47 +13,34 @@
 //! * the wire format ships the fixed-width id instead of the name
 //!   (see [`WIRE_TAG_BYTES`]).
 //!
-//! # Process-wide interning vs. per-query catalogs
+//! # One process-wide interner, one catalog per query
 //!
 //! The process-wide intern table (behind [`RelId::intern`]) is the identity
 //! substrate: it guarantees that, within one process, equal names are equal
-//! ids — which is also why the simulated wire can ship the interned id
-//! directly. Distributed deployments additionally need every *node* to
-//! agree on ids without negotiation; that is the job of the per-query
-//! [`RelCatalog`] built at plan/localize time. Because the catalog is
-//! derived by a deterministic traversal of the query program, every node
-//! that localizes the same program derives the identical name↔id binding
-//! (conceptually carried by the query's `Install` message). Today's
-//! receivers validate each shipped id against the catalog and reject
-//! unbound ones; a multi-process transport must go one step further and
-//! translate ids to the catalog's dense *wire tags* on encode and through
-//! [`RelCatalog::decode`] on receive, because raw interner ids are only
-//! meaningful within one process. `wire_tag`/`decode` are that contract,
-//! property-tested even though the in-process simulation never needs the
-//! translation.
+//! ids — which is why the simulated wire can ship the interned id directly.
+//! Which ids a query may carry is decided per query: a node's receive path
+//! accepts a shipped tuple only if its relation is bound in the query's
+//! localized catalog (`dr_datalog::catalog::Catalog`, built from the program
+//! and extended with the cache relations localization mints) or is the
+//! deployment-wide `link` table, and drops and counts anything else. Raw
+//! interner ids mean nothing outside the process, so a multi-process
+//! transport must ship a process-independent form instead; the service
+//! boundary already ships relation names, and checks a client's names
+//! against the query's catalog with [`RelId::lookup`], which never interns
+//! a name it has not seen.
 //!
 //! ```
-//! use dr_types::rel::{RelCatalog, RelId};
+//! use dr_types::rel::RelId;
 //!
-//! // Two nodes build catalogs from the same program text → same bindings.
-//! let mut a = RelCatalog::new();
-//! let mut b = RelCatalog::new();
-//! for rel in ["link", "path", "bestPathCost"] {
-//!     a.intern(rel);
-//!     b.intern(rel);
-//! }
-//! assert_eq!(a.bindings(), b.bindings());
-//!
-//! // Wire tags are dense per-query and round-trip through decode.
+//! // Equal names are equal ids, and an id resolves back to its name.
 //! let path = RelId::intern("path");
-//! let tag = a.wire_tag(path).expect("path is bound");
-//! assert_eq!(a.decode(tag).unwrap(), path);
+//! assert_eq!(RelId::intern("path"), path);
+//! assert_eq!(path.name(), "path");
 //!
-//! // A stale/unknown tag is a decode error, not a silent misroute.
-//! assert!(a.decode(999).is_err());
+//! // Looking a name up does not intern it.
+//! assert_eq!(RelId::lookup("rel_doc_never_interned"), None);
 //! ```
 
-use crate::error::{Error, Result};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
@@ -145,89 +132,6 @@ impl fmt::Display for RelId {
     }
 }
 
-/// The deterministic per-query symbol catalog: the name↔id bindings of every
-/// relation a query can store or ship.
-///
-/// Built at plan/localize time by traversing the query program in a fixed
-/// order, so every node derives the identical catalog from the same program
-/// — no negotiation. The catalog is what travels (conceptually) with the
-/// query's `Install` message. Receivers validate every shipped relation id
-/// against it ([`RelCatalog::contains`]); its dense position doubles as the
-/// relation's *wire tag*, the encoding a multi-process transport must ship
-/// and turn back into a [`RelId`] via [`RelCatalog::decode`] — which turns
-/// stale or unknown tags into typed decode errors instead of misroutes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RelCatalog {
-    /// Binding order: wire tag → interned id.
-    entries: Vec<RelId>,
-    /// Reverse map: interned id → wire tag.
-    tags: HashMap<RelId, u32>,
-}
-
-impl RelCatalog {
-    /// An empty catalog.
-    pub fn new() -> RelCatalog {
-        RelCatalog::default()
-    }
-
-    /// Intern `name` process-wide and bind it in this catalog (appending a
-    /// fresh wire tag when the name is new to the catalog).
-    pub fn intern(&mut self, name: &str) -> RelId {
-        let rel = RelId::intern(name);
-        self.bind(rel);
-        rel
-    }
-
-    /// Bind an already-interned id in this catalog. Idempotent.
-    pub fn bind(&mut self, rel: RelId) {
-        if !self.tags.contains_key(&rel) {
-            let tag = u32::try_from(self.entries.len()).expect("relation catalog overflow");
-            self.tags.insert(rel, tag);
-            self.entries.push(rel);
-        }
-    }
-
-    /// True when `rel` is bound in this catalog.
-    pub fn contains(&self, rel: RelId) -> bool {
-        self.tags.contains_key(&rel)
-    }
-
-    /// The dense wire tag of `rel`, if bound.
-    pub fn wire_tag(&self, rel: RelId) -> Option<u32> {
-        self.tags.get(&rel).copied()
-    }
-
-    /// Decode a wire tag back into a [`RelId`].
-    ///
-    /// A tag outside the catalog — a stale binding from an older query
-    /// version, or garbage — is an [`Error::Decode`].
-    pub fn decode(&self, tag: u32) -> Result<RelId> {
-        self.entries.get(tag as usize).copied().ok_or_else(|| {
-            Error::decode(format!(
-                "unknown relation wire tag {tag} (catalog binds {} relations)",
-                self.entries.len()
-            ))
-        })
-    }
-
-    /// The bindings in wire-tag order, as `(tag, id, name)` triples. Two
-    /// nodes agree on a query's wire format iff their catalogs' bindings
-    /// are equal.
-    pub fn bindings(&self) -> Vec<(u32, RelId, &'static str)> {
-        self.entries.iter().enumerate().map(|(i, &r)| (i as u32, r, r.name())).collect()
-    }
-
-    /// Number of bound relations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,47 +160,5 @@ mod tests {
         let owned = String::from("relid_test_from");
         let via_ref: RelId = (&owned).into();
         assert_eq!(via_ref, id);
-    }
-
-    #[test]
-    fn catalog_binds_in_order_and_decodes() {
-        let mut cat = RelCatalog::new();
-        let link = cat.intern("relid_test_cat_link");
-        let path = cat.intern("relid_test_cat_path");
-        // Re-interning does not mint a new tag.
-        assert_eq!(cat.intern("relid_test_cat_link"), link);
-        assert_eq!(cat.len(), 2);
-        assert_eq!(cat.wire_tag(link), Some(0));
-        assert_eq!(cat.wire_tag(path), Some(1));
-        assert_eq!(cat.decode(0).unwrap(), link);
-        assert_eq!(cat.decode(1).unwrap(), path);
-        assert!(cat.contains(path));
-        assert!(!cat.is_empty());
-    }
-
-    #[test]
-    fn unknown_tag_is_a_decode_error() {
-        let mut cat = RelCatalog::new();
-        cat.intern("relid_test_cat_only");
-        let err = cat.decode(7).unwrap_err();
-        assert!(matches!(err, Error::Decode(_)), "{err}");
-        let unbound = RelId::intern("relid_test_cat_unbound");
-        assert_eq!(cat.wire_tag(unbound), None);
-        assert!(!cat.contains(unbound));
-    }
-
-    #[test]
-    fn identical_build_order_yields_identical_bindings() {
-        let names = ["relid_test_det_a", "relid_test_det_b", "relid_test_det_c"];
-        let mut one = RelCatalog::new();
-        let mut two = RelCatalog::new();
-        for n in names {
-            one.intern(n);
-        }
-        for n in names {
-            two.intern(n);
-        }
-        assert_eq!(one.bindings(), two.bindings());
-        assert_eq!(one, two);
     }
 }

@@ -1,16 +1,16 @@
 //! Tests for the interned relation-identity layer: intern→resolve
-//! round-trips, deterministic cross-node id agreement (every node that
-//! plans the same query derives the identical name↔id binding, including
-//! when the query arrives via piggy-backed installation), and typed decode
-//! failures on stale or unknown ids.
+//! round-trips, cross-node agreement (every node that plans the same query
+//! binds the identical relation set in its catalog, including when the
+//! query arrives via piggy-backed installation), and the receive path
+//! dropping tuples whose relation the query does not bind.
 
 use declarative_routing::engine::harness::RoutingHarness;
-use declarative_routing::engine::localize::localize;
+use declarative_routing::engine::localize::{localize, LocalizedProgram};
 use declarative_routing::engine::processor::NetMsg;
 use declarative_routing::engine::QueryId;
 use declarative_routing::netsim::{LinkParams, SimTime, Topology};
 use declarative_routing::protocols::{best_path, dynamic_source_routing, link_state};
-use declarative_routing::types::{Cost, Error, NodeId, RelCatalog, RelId, Tuple, Value};
+use declarative_routing::types::{Cost, NodeId, RelId, Tuple, Value};
 use proptest::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -48,59 +48,40 @@ proptest! {
         prop_assert_eq!(t.rel(), id);
         prop_assert_eq!(t.relation(), name.as_str());
     }
+}
 
-    /// A catalog built from any name sequence decodes every bound tag back
-    /// to the id it was minted for, and rejects every tag past the end.
-    #[test]
-    fn catalog_wire_tags_round_trip(names in prop::collection::vec(rel_name(), 1..12)) {
-        let mut catalog = RelCatalog::new();
-        let ids: Vec<RelId> = names.iter().map(|s| catalog.intern(s)).collect();
-        for id in &ids {
-            let tag = catalog.wire_tag(*id).expect("bound relation has a tag");
-            prop_assert_eq!(catalog.decode(tag).unwrap(), *id);
-        }
-        let stale = catalog.len() as u32;
-        prop_assert!(matches!(catalog.decode(stale), Err(Error::Decode(_))));
-        // Rebuilding from the same sequence yields identical bindings.
-        let mut again = RelCatalog::new();
-        for s in &names {
-            again.intern(s);
-        }
-        prop_assert_eq!(catalog.bindings(), again.bindings());
-    }
+/// The relations a localized program's catalog binds, in name order.
+fn bound(program: &LocalizedProgram) -> Vec<RelId> {
+    program.catalog.relations().map(|info| info.id).collect()
 }
 
 /// Localizing the same program on different "nodes" (independent localize
-/// calls, as every processor deployment performs at plan time) derives the
-/// identical name↔id binding — the property that lets the wire format ship
+/// calls, as every processor deployment performs at plan time) binds the
+/// identical relation set — the property that lets the wire format ship
 /// bare ids without negotiation.
 #[test]
 fn independent_localizations_agree_on_bindings() {
     for program in [best_path(), dynamic_source_routing(), link_state()] {
         let a = localize(&program, &[]).expect("program localizes");
         let b = localize(&program, &[]).expect("program localizes");
-        assert_eq!(
-            a.rel_catalog.bindings(),
-            b.rel_catalog.bindings(),
-            "two plans of the same program disagree on relation bindings"
-        );
-        assert!(!a.rel_catalog.is_empty());
-        // The binding covers everything the query can ship: result
-        // relations and every ship-spec cache relation.
+        assert_eq!(bound(&a), bound(&b), "two plans of the same program bind different relations");
+        assert!(!a.catalog.is_empty());
+        // The catalog covers everything the query can store or ship: result
+        // relations and every ship spec's source and cache relation.
         for rel in &a.result_relations {
-            assert!(a.rel_catalog.contains(*rel));
+            assert!(a.catalog.get(*rel).is_some());
         }
         for ship in &a.ships {
-            assert!(a.rel_catalog.contains(ship.source_relation));
-            assert!(a.rel_catalog.contains(ship.cache_relation));
+            assert!(a.catalog.get(ship.source_relation).is_some());
+            assert!(a.catalog.get(ship.cache_relation).is_some());
         }
     }
 }
 
 /// Two processors in one deployment install the same query — one through
 /// the flooded `Install`, one through piggy-backed installation (§3.5:
-/// tuples for a not-yet-known query arrive first) — and agree on every
-/// relation binding, so tuples shipped between them decode identically.
+/// tuples for a not-yet-known query arrive first) — and bind the same
+/// relation set, so tuples shipped between them decode identically.
 #[test]
 fn piggy_backed_install_derives_identical_bindings() {
     let mut harness = RoutingHarness::new(line_topology(3));
@@ -125,12 +106,12 @@ fn piggy_backed_install_derives_identical_bindings() {
             "node {i} never installed the query"
         );
     }
-    // All nodes run the identical spec, so their binding view is the
-    // spec's; the piggy-backed node converged to the same routes, proving
-    // the ids it decoded match the ids its peers encoded.
+    // All nodes run the identical spec, so their catalog is the spec's; the
+    // piggy-backed node converged to the same routes, proving the ids it
+    // decoded match the ids its peers encoded.
     let spec = harness.library().get(qid).expect("spec registered");
     let reference = localize(&best_path(), &[]).expect("localizes");
-    assert_eq!(spec.program.rel_catalog.bindings(), reference.rel_catalog.bindings());
+    assert_eq!(bound(&spec.program), bound(&reference));
     let routes = handle.finite_results(&harness).expect("routes decode");
     assert_eq!(routes.len(), 6, "3-node line converges to all ordered pairs");
 }
