@@ -5,8 +5,9 @@
 //! its per-tuple execution (§3.6).
 
 use dr_netsim::{Context, LinkEvent, NodeApp, SimDuration};
+use dr_types::hash::HashMap;
 use dr_types::{Cost, NodeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A distance-vector advertisement: destination → advertised cost.
 #[derive(Debug, Clone)]
@@ -59,7 +60,7 @@ impl DistanceVectorNode {
             config,
             id: NodeId::new(0),
             routes: BTreeMap::new(),
-            heard: HashMap::new(),
+            heard: HashMap::default(),
             neighbors: BTreeMap::new(),
             dirty: false,
             advert_scheduled: false,

@@ -11,9 +11,10 @@ use crate::localize::LocalizedProgram;
 use crate::wire::ProvTag;
 use dr_datalog::database::Database;
 use dr_datalog::rewrite::AggSelection;
+use dr_types::hash::{HashMap, HashSet};
 use dr_types::{Cost, NodeId, RelId, Tuple, Value};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Consecutive idle, tombstone-free batches required before a queued
 /// revival round may run. A batch that starts with no pending deltas only

@@ -36,9 +36,10 @@ pub use crate::results::{ResultCursor, ResultLogStats, ResultsDelta};
 use dr_datalog::ast::Program;
 use dr_netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
 use dr_provenance::{DerivationTree, ProvId, ProvRecord, ProvRef};
+use dr_types::hash::HashSet;
 use dr_types::view::{CostView, FromTuple};
 use dr_types::{NodeId, Result, RouteEntry, Tuple};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -468,7 +469,7 @@ impl RoutingHarness {
             .provenance(qid)
             .map(|store| store.resolve(tuple))
             .unwrap_or(ProvRef::Base);
-        let mut on_path = HashSet::new();
+        let mut on_path = HashSet::default();
         Ok(self.build_tree(qid, home, tuple.clone(), root, &mut on_path, 0))
     }
 

@@ -11,8 +11,8 @@ use dr_datalog::database::Database;
 use dr_datalog::eval::RuleEval;
 use dr_netsim::Context;
 use dr_provenance::{ProvRef, ProvStore};
+use dr_types::hash::HashMap;
 use dr_types::{NodeId, RelId, Tuple, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Local-store row count below which an instance keeps its static plans.
@@ -92,7 +92,7 @@ impl Instance {
             library,
             compiled,
             replanned: false,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             admission: Admission::default(),
             cache_rel: RelId::intern(&spec.cache_relation),
             prov: spec.record_provenance.then(ProvStore::new),

@@ -29,8 +29,9 @@
 use dr_datalog::ast::{Atom, Literal, Program, Rule, Term};
 use dr_datalog::catalog::Catalog;
 use dr_datalog::rewrite::{aggregate_selections, AggSelection};
+use dr_types::hash::HashMap;
 use dr_types::{Error, RelId, Result};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A shipping requirement: copies of `source_relation` tuples must be sent
 /// to the node named by their `target_field` and stored there under
@@ -284,7 +285,7 @@ pub fn localize(program: &Program, replicated: &[&str]) -> Result<LocalizedProgr
     let result_relations: Vec<RelId> =
         program.queries.iter().map(|q| RelId::intern(&q.relation)).collect();
 
-    let mut ships_by_source: HashMap<RelId, Vec<ShipSpec>> = HashMap::new();
+    let mut ships_by_source: HashMap<RelId, Vec<ShipSpec>> = HashMap::default();
     for ship in &ships {
         ships_by_source.entry(ship.source_relation).or_default().push(*ship);
     }

@@ -37,8 +37,9 @@ use dr_datalog::database::{Database, Scan};
 use dr_datalog::eval::{apply_aggregate, FiringLog, RelationSource, RuleEval};
 use dr_netsim::{Context, LinkEvent, NodeApp, SimDuration};
 use dr_provenance::{ProvId, ProvRef, ProvStore};
+use dr_types::hash::HashMap;
 use dr_types::{Cost, NodeId, PathVector, RelId, Tuple, TupleKey, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 pub use crate::stats::{ProcessorStats, StateFootprint};
@@ -549,7 +550,7 @@ impl QueryProcessor {
         // keep the fields of the raw derivation they won with, so the
         // head-keyed lookup resolves them too.
         let mut log = instance.prov.is_some().then(FiringLog::new);
-        let mut firings: HashMap<Tuple, (u32, Vec<Tuple>)> = HashMap::new();
+        let mut firings: HashMap<Tuple, (u32, Vec<Tuple>)> = HashMap::default();
         let mut run = |ri: usize, plan: &RuleEval, delta: Option<(usize, &[Tuple])>| {
             let derived = match log.as_mut() {
                 Some(log) => plan.evaluate_traced(&self.builtins, &source, delta, log),

@@ -16,8 +16,8 @@ use crate::results::ResultLogs;
 use dr_datalog::ast::Program;
 use dr_datalog::eval::RuleEval;
 use dr_netsim::SimTime;
+use dr_types::hash::HashMap;
 use dr_types::{NodeId, Result, Tuple};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of an issued query.

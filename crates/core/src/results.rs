@@ -32,9 +32,10 @@
 
 use crate::harness::RoutingHarness;
 use crate::query::QueryId;
+use dr_types::hash::HashMap;
 use dr_types::Tuple;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{self, AtomicUsize};
 use std::sync::Mutex;
 

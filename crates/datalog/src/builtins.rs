@@ -18,8 +18,8 @@
 //! | `f_size(P)` | `f_size(P)` | number of nodes in path |
 
 use crate::ast::ArithOp;
+use dr_types::hash::HashMap;
 use dr_types::{Cost, Error, PathVector, Result, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Signature of a built-in function: total over well-typed inputs, returning
@@ -71,7 +71,7 @@ impl Builtins {
     /// An empty registry with no functions at all (useful for testing the
     /// "core Datalog" polynomial fragment of §6).
     pub fn empty() -> Builtins {
-        Builtins { funcs: HashMap::new() }
+        Builtins { funcs: HashMap::default() }
     }
 
     /// The standard library used by the paper's programs.

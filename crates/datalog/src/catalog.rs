@@ -9,8 +9,8 @@
 //!   during incremental maintenance, §8).
 
 use crate::ast::Program;
+use dr_types::hash::HashMap;
 use dr_types::{Error, RelId, Result};
-use std::collections::HashMap;
 
 /// Schema information for one relation.
 #[derive(Debug, Clone, PartialEq, Eq)]

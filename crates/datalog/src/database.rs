@@ -25,8 +25,9 @@
 //! borrowing [`Scan`] cursor over the slab, which is also what the rule
 //! evaluator's join loop consumes (see `RelationSource` in `eval`).
 
+use dr_types::hash::HashMap;
 use dr_types::{RelId, Tuple, TupleId, TupleKey, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A borrowing cursor over stored tuples: the zero-copy replacement for the
 /// old `scan(&self) -> Vec<Tuple>` API. Yields `&Tuple` without cloning.
@@ -177,7 +178,7 @@ impl Table {
         if self.indexes.contains_key(&field) {
             return;
         }
-        let mut index: HashMap<Value, Vec<TupleId>> = HashMap::new();
+        let mut index: HashMap<Value, Vec<TupleId>> = HashMap::default();
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(t) = slot {
                 if let Some(v) = t.field(field) {
@@ -226,27 +227,22 @@ impl Table {
         if self.ids.contains_key(&t) {
             return InsertOutcome { added: false, replaced: None };
         }
+        // Blanking a slot keeps the slab's length, so the new tuple's id is
+        // known before the key's previous holder (if any) is displaced.
+        let id = TupleId::new(self.slots.len());
         let replaced = if self.key_fields.is_empty() {
             None
         } else {
-            let key = t.key(&self.key_fields);
-            match self.by_key.get(&key).copied() {
-                Some(old_id) => {
-                    let old = self.blank_slot(old_id);
-                    self.ids.remove(&old);
-                    Some(old)
-                }
-                None => None,
-            }
+            self.by_key.insert(t.key(&self.key_fields), id).map(|old_id| {
+                let old = self.blank_slot(old_id);
+                self.ids.remove(&old);
+                old
+            })
         };
-        let id = TupleId::new(self.slots.len());
         for (&field, index) in self.indexes.iter_mut() {
             if let Some(v) = t.field(field) {
                 index.entry(v.clone()).or_default().push(id);
             }
-        }
-        if !self.key_fields.is_empty() {
-            self.by_key.insert(t.key(&self.key_fields), id);
         }
         self.ids.insert(t.clone(), id);
         self.slots.push(Some(t));

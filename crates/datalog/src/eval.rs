@@ -35,10 +35,10 @@ use crate::catalog::Catalog;
 use crate::database::{CardStats, Database, Scan};
 use crate::rewrite::{aggregate_selections, AggSelection};
 use crate::stratify::{stratify, Stratification};
+use dr_types::hash::{FastState, HashMap};
 use dr_types::{Error, RelId, Result, Tuple, TupleKey, Value};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Bindings (parse/debug boundary + reference evaluator)
@@ -244,7 +244,7 @@ impl ProbeSpec {
     /// key into the per-call delta index. Hash collisions are harmless:
     /// the join loop re-checks every field op on each candidate.
     fn delta_hash(&self, frame: &[Value]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FastState::default().build_hasher();
         match self {
             ProbeSpec::Field(_, key) => key.resolve(frame).hash(&mut h),
             ProbeSpec::Key { values, .. } => {
@@ -260,7 +260,7 @@ impl ProbeSpec {
     /// `None` when the tuple is too short to have them (it could never
     /// match the atom anyway).
     fn tuple_hash(&self, t: &Tuple) -> Option<u64> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FastState::default().build_hasher();
         match self {
             ProbeSpec::Field(field, _) => t.field(*field)?.hash(&mut h),
             ProbeSpec::Key { fields, .. } => {
@@ -1180,7 +1180,7 @@ impl RuleEval {
         // O(hits) instead of re-walking the slice per outer binding.
         let delta_index: Option<HashMap<u64, Vec<usize>>> = delta.and_then(|(p, dt)| {
             let probe = self.atoms[p].probe.as_ref()?;
-            let mut idx: HashMap<u64, Vec<usize>> = HashMap::new();
+            let mut idx: HashMap<u64, Vec<usize>> = HashMap::default();
             for (i, t) in dt.iter().enumerate() {
                 if let Some(h) = probe.tuple_hash(t) {
                     idx.entry(h).or_default().push(i);
@@ -1677,7 +1677,7 @@ pub fn apply_aggregate(head: &Head, head_rel: RelId, raw: &[Tuple]) -> Result<Ve
         .aggregate()
         .ok_or_else(|| Error::eval("apply_aggregate called on a non-aggregate head"))?;
 
-    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
+    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::default();
     for t in raw {
         let mut key = Vec::with_capacity(t.arity() - 1);
         for (i, v) in t.fields().iter().enumerate() {
@@ -1871,7 +1871,7 @@ impl Evaluator {
         }
 
         // Track best-so-far per aggregate-selection group.
-        let mut best: HashMap<(RelId, Vec<Value>), Value> = HashMap::new();
+        let mut best: HashMap<(RelId, Vec<Value>), Value> = HashMap::default();
 
         for stratum_rules in &self.stratification.strata_rules {
             let rules: Vec<&RuleEval> =
@@ -1913,7 +1913,7 @@ impl Evaluator {
         let stratum_derived: Vec<RelId> = rules.iter().map(|c| c.head_rel()).collect();
 
         // Iteration 0: evaluate every rule in full.
-        let mut delta: HashMap<RelId, Vec<Tuple>> = HashMap::new();
+        let mut delta: HashMap<RelId, Vec<Tuple>> = HashMap::default();
         for plan in rules {
             stats.rule_firings += 1;
             let derived = plan.evaluate(&self.builtins, db, None)?;

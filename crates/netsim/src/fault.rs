@@ -22,10 +22,10 @@
 //! [`Simulator`]: crate::Simulator
 
 use crate::time::{SimDuration, SimTime};
+use dr_types::hash::HashMap;
 use dr_types::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The fault behavior of one directed link.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +121,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with the given RNG seed and no faults anywhere.
     pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan { seed, default: LinkFaults::none(), per_link: HashMap::new() }
+        FaultPlan { seed, default: LinkFaults::none(), per_link: HashMap::default() }
     }
 
     /// Apply `faults` to every directed link (per-link overrides still win).

@@ -17,9 +17,10 @@ use crate::fault::{FaultAction, FaultPlan, FaultState};
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkParams, Topology};
+use dr_types::hash::HashMap;
 use dr_types::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Something a node observes about one of its adjacent links (the paper's
 /// neighbor-table updates: "link failures, new links, or link metric
@@ -292,7 +293,7 @@ impl<A: NodeApp> Simulator<A> {
                 topology,
                 next_seq: 0,
                 next_timer: 0,
-                link_busy_until: HashMap::new(),
+                link_busy_until: HashMap::default(),
                 events_processed: 0,
                 faults: None,
                 partition: None,

@@ -21,7 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeSet, HashMap};
+use dr_types::hash::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use dr_types::{NodeId, Tuple};

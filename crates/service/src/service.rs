@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
 use dr_core::{ExplainError, NetMsg, QueryId, ResultCursor, RoutingHarness};
-use dr_datalog::parse_program;
+use dr_datalog::{parse_program, Program};
 use dr_netsim::{SimDuration, Topology};
 use dr_types::NodeId;
 
@@ -255,6 +255,12 @@ impl RoutingService {
             Ok(p) => p,
             Err(e) => return self.error(ErrorCode::Parse, e.to_string()),
         };
+        if let Some(name) = first_unbound(&parsed, &options) {
+            return self.error(
+                ErrorCode::BadRequest,
+                format!("the program does not bind relation {name:?}"),
+            );
+        }
         let at = self.harness.now();
         let submitted = self
             .harness
@@ -530,6 +536,8 @@ pub struct Connections {
     conns: BTreeMap<ConnId, Conn>,
     /// Connections that gained frames since [`Connections::take_ready`].
     ready: BTreeSet<ConnId>,
+    /// The subset of `ready` that gained a direct reply.
+    replied: BTreeSet<ConnId>,
     next_conn: ConnId,
     push_cap: usize,
     reply_cap: usize,
@@ -545,6 +553,7 @@ impl Connections {
             service: RoutingService::new(topology, config),
             conns: BTreeMap::new(),
             ready: BTreeSet::new(),
+            replied: BTreeSet::new(),
             next_conn: 1,
             push_cap,
             reply_cap,
@@ -673,9 +682,17 @@ impl Connections {
         frame
     }
 
-    /// The connections that gained frames since the last call, in table order.
-    pub fn take_ready(&mut self) -> BTreeSet<ConnId> {
-        std::mem::take(&mut self.ready)
+    /// The connections that gained frames since the last call: those that
+    /// gained only pushes first, then those owed a direct reply, each group
+    /// in table order. A shell that flushes in this order hands a request's
+    /// pushes to the other subscribers' writers before the requester's
+    /// reply goes out, so they see the change no later than the requester.
+    pub fn take_ready(&mut self) -> Vec<ConnId> {
+        let replied = std::mem::take(&mut self.replied);
+        let (mut owed, mut order): (Vec<ConnId>, Vec<ConnId>) =
+            std::mem::take(&mut self.ready).into_iter().partition(|id| replied.contains(id));
+        order.append(&mut owed);
+        order
     }
 
     /// Frames queued for connection `id` and not taken yet.
@@ -699,6 +716,7 @@ impl Connections {
     fn forget(&mut self, id: ConnId) {
         self.conns.remove(&id);
         self.ready.remove(&id);
+        self.replied.remove(&id);
     }
 
     fn shut(&mut self, id: ConnId) {
@@ -743,6 +761,7 @@ impl Connections {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.queue.push_back(frame_response(resp));
             self.ready.insert(id);
+            self.replied.insert(id);
         }
     }
 
@@ -762,6 +781,22 @@ fn json_counters(kind: &str, fields: impl Iterator<Item = (&'static str, u64)>) 
     }
     line.push('}');
     line
+}
+
+/// The first relation `options` names that `program` does not bind: a
+/// non-default cache relation the program never mentions, or a fact's or
+/// replicated relation that is neither mentioned, `link`, nor the cache
+/// relation (the set a node's receive path accepts). Only the program text
+/// is consulted, so a refused request interns no client-sent name.
+fn first_unbound<'a>(program: &Program, options: &'a IssueOptions) -> Option<&'a str> {
+    let mentioned = program.all_relations();
+    let cache = options.cache_relation.as_str();
+    if cache != IssueOptions::default().cache_relation && !mentioned.contains(cache) {
+        return Some(cache);
+    }
+    let facts = options.facts.iter().map(|fact| fact.relation.as_str());
+    let mut names = facts.chain(options.replicated.iter().map(String::as_str));
+    names.find(|&name| name != "link" && name != cache && !mentioned.contains(name))
 }
 
 /// Move pushes from `conn`'s session outbox into its queue while the queue
@@ -1210,7 +1245,8 @@ mod tests {
         // `a` pipelines two requests; nobody takes a frame in between.
         assert_eq!(table.on_request(a, Request::Advance { millis: 10_000 }), Reply::Queued);
         assert_eq!(table.on_request(a, Request::Stats), Reply::Queued);
-        assert_eq!(table.take_ready().into_iter().collect::<Vec<_>>(), [a, b]);
+        // `b` holds only pushes, so it is handed over before `a`'s replies.
+        assert_eq!(table.take_ready(), [b, a]);
 
         let to_a = taken(&mut table, a);
         assert!(matches!(to_a.first(), Some(Response::Advanced { .. })), "{to_a:?}");

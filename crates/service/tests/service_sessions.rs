@@ -391,3 +391,48 @@ fn unbound_relations_are_refused_without_interning_them() {
     svc.apply(sid, Request::Advance { millis: 1_000 });
     assert_eq!(svc.harness().processor_stats().tuples_rejected, 0);
 }
+
+/// `IssueQuery` is checked at the same door: a fact, a replicated relation
+/// or a non-default cache relation the program does not bind answers
+/// `BadRequest` naming it, issues nothing, and leaves the name uninterned.
+#[test]
+fn an_issue_naming_unbound_relations_is_refused_without_interning_them() {
+    let mut svc = RoutingService::new(default_topology(NODES), ServiceConfig::default());
+    let (sid, _) = svc.connect("door");
+    let fact = |name: &str| WireTuple {
+        relation: name.to_string(),
+        values: vec![WireValue::Node(0), WireValue::Node(1), WireValue::Cost(1.0)],
+    };
+    let issue = |options| Request::IssueQuery { program: BEST_PATH_PROGRAM.to_string(), options };
+    let refused = [
+        (
+            "zz_fact_fresh",
+            IssueOptions { facts: vec![fact("link"), fact("zz_fact_fresh")], ..Default::default() },
+        ),
+        (
+            "zz_repl_fresh",
+            IssueOptions { replicated: vec!["zz_repl_fresh".into()], ..Default::default() },
+        ),
+        (
+            "zz_cache_fresh",
+            IssueOptions { cache_relation: "zz_cache_fresh".into(), ..Default::default() },
+        ),
+    ];
+    for (name, options) in refused {
+        match svc.apply(sid, issue(options)) {
+            Response::Error { code: dr_service::ErrorCode::BadRequest, message } => {
+                assert!(message.contains(name), "{message}")
+            }
+            other => panic!("expected BadRequest for {name}, got {other:?}"),
+        }
+        assert_eq!(dr_types::RelId::lookup(name), None);
+    }
+    assert_eq!(svc.live_queries(), 0);
+
+    let bound = IssueOptions {
+        facts: vec![fact("link")],
+        replicated: vec!["link".into()],
+        ..Default::default()
+    };
+    assert!(matches!(svc.apply(sid, issue(bound)), Response::Issued { .. }));
+}

@@ -16,6 +16,7 @@
 
 pub mod cost;
 pub mod error;
+pub mod hash;
 pub mod node;
 pub mod rel;
 pub mod tuple;

@@ -53,7 +53,7 @@ impl fmt::Display for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::hash::HashSet;
 
     #[test]
     fn construction_roundtrip() {

@@ -41,7 +41,7 @@
 //! assert_eq!(RelId::lookup("rel_doc_never_interned"), None);
 //! ```
 
-use std::collections::HashMap;
+use crate::hash::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -62,7 +62,7 @@ struct Interner {
 
 fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(Interner { names: Vec::new(), ids: HashMap::new() }))
+    INTERNER.get_or_init(|| RwLock::new(Interner { names: Vec::new(), ids: HashMap::default() }))
 }
 
 /// A dense, process-wide interned relation identifier.
