@@ -1,18 +1,15 @@
 //! # dr-baselines
 //!
-//! Hand-coded implementations of the traditional routing protocols the paper
-//! compares against: a **path-vector** protocol (the "PV" line of Figure 6)
-//! and a **distance-vector** protocol. They run directly as
-//! [`dr_netsim::NodeApp`]s — no query engine involved — and exchange batched
-//! route advertisements exactly like classic implementations, so their
-//! convergence latency and communication overhead provide the reference
-//! point for the declarative versions.
+//! A hand-coded implementation of the traditional routing protocol the
+//! paper compares against: the **path-vector** protocol of Figure 6's "PV"
+//! line. It runs directly as a [`dr_netsim::NodeApp`] — no query engine
+//! involved — and exchanges batched route advertisements exactly like a
+//! classic implementation, so its convergence latency and communication
+//! overhead are the reference point for the declarative version.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod distance_vector;
 pub mod path_vector;
 
-pub use distance_vector::{DistanceVectorConfig, DistanceVectorNode};
 pub use path_vector::{PathVectorConfig, PathVectorNode, RouteEntry};

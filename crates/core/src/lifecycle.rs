@@ -6,13 +6,13 @@ use crate::admission::Admission;
 use crate::localize::LocalizedProgram;
 use crate::processor::{send, NetMsg, QueryProcessor};
 use crate::query::{QueryId, QueryLibrary, QuerySpec};
-use dr_datalog::ast::{HeadTerm, Term};
+use dr_datalog::ast::{HeadTerm, Rule};
 use dr_datalog::database::Database;
 use dr_datalog::eval::RuleEval;
 use dr_netsim::Context;
 use dr_provenance::{ProvRef, ProvStore};
 use dr_types::hash::HashMap;
-use dr_types::{NodeId, RelId, Tuple, Value};
+use dr_types::{NodeId, RelId, Tuple};
 use std::sync::Arc;
 
 /// Local-store row count below which an instance keeps its static plans.
@@ -208,25 +208,17 @@ impl Instance {
 /// fact rules become tuples, kept when the fact's relation is replicated,
 /// carries no location annotation, or is homed at `me`.
 fn program_facts(program: &LocalizedProgram, me: NodeId) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    for fact in &program.facts {
-        let head = &fact.head;
-        let constant = |t: &HeadTerm| match t.as_plain() {
-            Some(Term::Const(v)) => Some(v.clone()),
-            _ => None,
-        };
-        let Some(values) = head.terms.iter().map(constant).collect::<Option<Vec<Value>>>() else {
-            continue;
-        };
-        let tuple = Tuple::new(&head.relation, values);
-        // Derive the home exactly like route_tuple will (catalog location
-        // field), so a kept fact is always stored locally, never re-shipped.
-        let home = tuple.node_at(program.catalog.location_field(tuple.rel()));
-        if program.is_replicated(tuple.rel()) || home.is_none() || home == Some(me) {
-            out.push(tuple);
-        }
-    }
-    out
+    program
+        .facts
+        .iter()
+        .filter_map(Rule::fact_tuple)
+        .filter(|tuple| {
+            // Derive the home exactly like route_tuple will (catalog location
+            // field), so a kept fact is always stored locally, never re-shipped.
+            let home = tuple.node_at(program.catalog.location_field(tuple.rel()));
+            program.is_replicated(tuple.rel()) || home.is_none() || home == Some(me)
+        })
+        .collect()
 }
 
 impl QueryProcessor {

@@ -27,6 +27,7 @@
 
 use dr_types::hash::HashMap;
 use dr_types::{RelId, Tuple, TupleId, TupleKey, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A borrowing cursor over stored tuples: the zero-copy replacement for the
@@ -224,12 +225,18 @@ impl Table {
     /// the result reports both what was removed and whether anything new
     /// appeared, so callers can propagate deltas.
     pub fn insert(&mut self, t: Tuple) -> InsertOutcome {
-        if self.ids.contains_key(&t) {
-            return InsertOutcome { added: false, replaced: None };
-        }
         // Blanking a slot keeps the slab's length, so the new tuple's id is
         // known before the key's previous holder (if any) is displaced.
         let id = TupleId::new(self.slots.len());
+        // One lookup both rejects a duplicate and files a new tuple.
+        let t = match self.ids.entry(t) {
+            Entry::Occupied(_) => return InsertOutcome { added: false, replaced: None },
+            Entry::Vacant(slot) => {
+                let t = slot.key().clone();
+                slot.insert(id);
+                t
+            }
+        };
         let replaced = if self.key_fields.is_empty() {
             None
         } else {
@@ -244,7 +251,6 @@ impl Table {
                 index.entry(v.clone()).or_default().push(id);
             }
         }
-        self.ids.insert(t.clone(), id);
         self.slots.push(Some(t));
         self.maybe_compact();
         InsertOutcome { added: true, replaced }
@@ -259,22 +265,6 @@ impl Table {
         }
         self.maybe_compact();
         true
-    }
-
-    /// Remove every tuple (declared key and indexes survive, emptied).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.ids.clear();
-        self.by_key.clear();
-        self.dead = 0;
-        for index in self.indexes.values_mut() {
-            index.clear();
-        }
-    }
-
-    /// Tuples whose field `field` equals `value`.
-    pub fn select_eq(&self, field: usize, value: &Value) -> Vec<Tuple> {
-        self.probe(field, value).filter(|t| t.field(field) == Some(value)).cloned().collect()
     }
 
     /// Blank slot `id`, returning the tuple it held. Panics when the slot is
@@ -577,21 +567,11 @@ impl Database {
         self.slot(t.rel()).map(|tb| tb.contains(t)).unwrap_or(false)
     }
 
-    /// Drop every tuple of a relation (the table, its key, and its indexes
-    /// survive).
-    pub fn clear_relation(&mut self, relation: impl Into<RelId>) {
-        let rel = relation.into();
-        if let Some(t) = self.tables.get_mut(rel.index()).and_then(Option::as_mut) {
-            t.clear();
-        }
-    }
-
     /// Drop a relation's table entirely — tuples, upsert key, and secondary
-    /// indexes. Unlike [`Database::clear_relation`] nothing survives: the
-    /// slot returns to the never-touched state, so long-lived stores (the
-    /// per-node cross-query cache of a resident service) shed the whole
-    /// footprint of a torn-down query instead of keeping empty index
-    /// skeletons around forever. Returns the number of tuples dropped.
+    /// indexes. Nothing survives: the slot returns to the never-touched
+    /// state, so long-lived stores (the per-node cross-query cache of a
+    /// resident service) shed the whole footprint of a torn-down query
+    /// instead of keeping empty index skeletons around forever. Returns the number of tuples dropped.
     pub fn drop_relation(&mut self, relation: impl Into<RelId>) -> usize {
         let rel = relation.into();
         self.pending_indexes.remove(&rel);
@@ -671,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_frees_the_key_slot() {
         let mut db = Database::new();
         db.declare_key("link", vec![0, 1]);
         db.insert(link(1, 2, 3.0));
@@ -681,23 +661,7 @@ mod tests {
         assert_eq!(db.count("link"), 1);
         // after remove the key slot is free again
         assert!(db.insert(link(1, 2, 5.0)).replaced.is_none());
-        db.clear_relation("link");
-        assert_eq!(db.count("link"), 0);
         assert!(!db.remove(&Tuple::new("nosuch", vec![])));
-    }
-
-    #[test]
-    fn select_eq_filters_by_field() {
-        let mut db = Database::new();
-        db.insert(link(1, 2, 3.0));
-        db.insert(link(1, 3, 4.0));
-        db.insert(link(2, 3, 5.0));
-        let t = db.table("link").unwrap();
-        let from1 = t.select_eq(0, &Value::Node(NodeId::new(1)));
-        assert_eq!(from1.len(), 2);
-        let to3 = t.select_eq(1, &Value::Node(NodeId::new(3)));
-        assert_eq!(to3.len(), 2);
-        assert!(t.select_eq(0, &Value::Node(NodeId::new(9))).is_empty());
     }
 
     #[test]

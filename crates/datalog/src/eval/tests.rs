@@ -1,6 +1,10 @@
+use super::reference::{eval_expr, Bindings};
 use super::*;
+use crate::ast::{AggFunc, Expr, Head, HeadTerm, Term};
+use crate::builtins::Builtins;
+use crate::database::{CardStats, Database};
 use crate::parser::parse_program;
-use dr_types::{Cost, NodeId, PathVector};
+use dr_types::{Cost, NodeId, PathVector, RelId, Tuple, Value};
 
 fn node(i: u32) -> Value {
     Value::Node(NodeId::new(i))

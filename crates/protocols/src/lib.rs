@@ -74,11 +74,6 @@ pub mod rels {
         RelId::intern("bestPath")
     }
 
-    /// `bestPathCost(@S,D,C)` — the Best-Path aggregate relation.
-    pub fn best_path_cost() -> RelId {
-        RelId::intern("bestPathCost")
-    }
-
     /// `bestPathCache(@N,D,P,C)` — the default cross-query sharing cache
     /// (§7.3).
     pub fn best_path_cache() -> RelId {

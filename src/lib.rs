@@ -18,7 +18,7 @@
 //! * [`provenance`] — derivation provenance: per-tuple derivation records
 //!   and the [`provenance::DerivationTree`] proof trees behind
 //!   `RoutingHarness::explain`.
-//! * [`baselines`] — hand-coded path-vector / distance-vector baselines.
+//! * [`baselines`] — the hand-coded path-vector baseline.
 //! * [`workloads`] — topologies, RTT models, churn and query workloads.
 //! * [`service`] — the long-lived routing service: client sessions issue,
 //!   tear down, and subscribe to queries over a framed protocol (in-process

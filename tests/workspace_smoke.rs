@@ -1,10 +1,9 @@
 //! Workspace-wiring smoke tests: the façade's re-exports resolve to the same
-//! crates the workspace builds, and the declarative engine agrees with the
-//! hand-coded `dr-baselines` distance-vector protocol on a small ring.
+//! crates the workspace builds, and the declarative engine converges to
+//! shortest paths on a small ring.
 
-use declarative_routing::baselines::{DistanceVectorConfig, DistanceVectorNode};
 use declarative_routing::engine::harness::RoutingHarness;
-use declarative_routing::netsim::{LinkParams, SimConfig, SimTime, Simulator, Topology};
+use declarative_routing::netsim::{LinkParams, SimTime, Topology};
 use declarative_routing::protocols::best_path;
 use declarative_routing::types::{Cost, NodeId};
 
@@ -45,15 +44,15 @@ fn facade_reexports_are_the_workspace_crates() {
     let _tuple: declarative_routing::types::Tuple = route.to_tuple();
 }
 
-/// `best_path()` executed as a distributed query converges to the same
-/// routes (cost and next hop) as the hand-coded distance-vector baseline on
-/// a 7-node ring.
+/// `best_path()` executed as a distributed query converges, on a 7-node
+/// ring, to Dijkstra's cost for every pair and to the next hop in the
+/// shorter direction around the ring.
 #[test]
-fn best_path_matches_distance_vector_baseline_on_a_ring() {
+fn best_path_matches_dijkstra_on_a_ring() {
     const K: u32 = 7;
 
-    // Declarative engine.
-    let mut harness = RoutingHarness::new(ring(K));
+    let topology = ring(K);
+    let mut harness = RoutingHarness::new(topology.clone());
     let handle = harness.issue(best_path()).from(n(0)).at(SimTime::ZERO).submit().unwrap();
     harness.run_until(SimTime::from_secs(60));
     let results = handle.finite_results(&harness).unwrap();
@@ -63,33 +62,28 @@ fn best_path_matches_distance_vector_baseline_on_a_ring() {
         "declarative best-path must converge to all-pairs routes"
     );
 
-    // Hand-coded distance-vector baseline.
-    let apps: Vec<DistanceVectorNode> =
-        (0..K).map(|_| DistanceVectorNode::new(DistanceVectorConfig::default())).collect();
-    let mut sim = Simulator::new(ring(K), apps, SimConfig::default());
-    sim.run_until(SimTime::from_secs(60));
-
     for src in 0..K {
+        let distances = topology.cost_distances(n(src));
         let fwd = handle.forwarding_table(&harness, n(src));
         let routes = handle.results_at(&harness, n(src)).unwrap();
         for dst in 0..K {
             if src == dst {
                 continue;
             }
-            let (dv_next, dv_cost) = sim
-                .app(n(src))
-                .route_to(n(dst))
-                .unwrap_or_else(|| panic!("baseline found no route {src}->{dst}"));
             let declarative_cost = routes
                 .iter()
                 .find(|r| r.src == n(src) && r.dst == n(dst))
                 .map(|r| r.cost)
                 .unwrap_or_else(|| panic!("declarative query found no route {src}->{dst}"));
+            let dijkstra_cost = Cost::new(distances[&n(dst)]);
             assert_eq!(
-                declarative_cost, dv_cost,
-                "cost mismatch for {src}->{dst}: declarative {declarative_cost} vs baseline {dv_cost}"
+                declarative_cost, dijkstra_cost,
+                "cost mismatch for {src}->{dst}: declarative {declarative_cost} vs Dijkstra {dijkstra_cost}"
             );
-            assert_eq!(fwd.get(&n(dst)), Some(&dv_next), "next-hop mismatch for {src}->{dst}");
+            // K is odd, so exactly one direction around the ring is shorter.
+            let clockwise = (dst + K - src) % K;
+            let next = if clockwise < K - clockwise { (src + 1) % K } else { (src + K - 1) % K };
+            assert_eq!(fwd.get(&n(dst)), Some(&n(next)), "next-hop mismatch for {src}->{dst}");
         }
     }
 }
