@@ -617,3 +617,34 @@ fn evaluator_exposes_compiled_plans() {
     let nr2 = eval.plans().iter().find(|p| p.rule().name.as_deref() == Some("NR2")).unwrap();
     assert_eq!(nr2.plan().to_string(), "link ⋈ path[0]");
 }
+
+/// Run `src` on the Figure 3 network, every link in both directions, and
+/// return the evaluator's work counters.
+fn figure3_stats(src: &str, semi_naive: bool, aggregate_selections: bool) -> EvalStats {
+    let cfg = EvalConfig { semi_naive, aggregate_selections, ..EvalConfig::default() };
+    let eval = Evaluator::with_config(parse_program(src).unwrap(), cfg).unwrap();
+    let mut db = Database::new();
+    for (s, d) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+        db.insert(link(s, d, 1.0));
+        db.insert(link(d, s, 1.0));
+    }
+    eval.run(&mut db).unwrap()
+}
+
+#[test]
+fn eval_stats_are_pinned() {
+    // Exact work counters: a change to the delta schedule, the order rules
+    // see each other's tuples, or the selection gate moves one of these.
+    let stats = |iterations, rule_firings, tuples_derived, tuples_pruned, strata| EvalStats {
+        iterations,
+        rule_firings,
+        tuples_derived,
+        tuples_pruned,
+        strata,
+    };
+    assert_eq!(figure3_stats(BEST_PATH, true, false), stats(6, 7, 84, 0, 2));
+    assert_eq!(figure3_stats(BEST_PATH, true, true), stats(5, 6, 72, 10, 2));
+    assert_eq!(figure3_stats(BEST_PATH, false, false), stats(6, 11, 84, 0, 2));
+    assert_eq!(figure3_stats(BEST_PATH, false, true), stats(5, 9, 72, 18, 2));
+    assert_eq!(figure3_stats(NETWORK_REACHABILITY, true, false), stats(4, 5, 38, 0, 1));
+}
