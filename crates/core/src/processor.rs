@@ -9,7 +9,8 @@
 //!
 //! * received and locally derived tuples are batched; every 200 ms (the
 //!   paper's batch interval, §9.1.1) the node runs a local semi-naïve
-//!   fixpoint over its localized rules,
+//!   fixpoint over its localized rules, one [`dr_datalog::eval::round`] —
+//!   the delta schedule the centralized evaluator runs too — per step,
 //! * derived tuples whose home is another node are shipped there, and
 //!   tuples required by remote joins are shipped to the join's anchor node
 //!   according to the program's [`crate::localize::ShipSpec`]s (the
@@ -34,7 +35,7 @@ use crate::query::{QueryId, QueryLibrary, QuerySpec};
 use crate::transport::Streams;
 use dr_datalog::builtins::Builtins;
 use dr_datalog::database::{Database, Scan};
-use dr_datalog::eval::{apply_aggregate, FiringLog, RelationSource, RuleEval};
+use dr_datalog::eval::{self, FiringLog, RelationSource};
 use dr_netsim::{Context, LinkEvent, NodeApp, SimDuration};
 use dr_provenance::{ProvId, ProvRef, ProvStore};
 use dr_types::hash::HashMap;
@@ -532,10 +533,11 @@ impl QueryProcessor {
         }
     }
 
-    /// One round of `qid`'s local semi-naïve fixpoint: evaluate every rule
-    /// against the deltas pending since the last round and return what was
-    /// derived, each tuple with the firing that produced it when the query
-    /// records provenance. `None` once nothing is pending.
+    /// One round of `qid`'s local semi-naïve fixpoint: the engine's shared
+    /// [`eval::round`] over every rule and the deltas pending since the last
+    /// round. Returns what was derived, each tuple with the firing that
+    /// produced it when the query records provenance. `None` once nothing
+    /// is pending.
     fn evaluate_round(&mut self, qid: QueryId) -> Option<Vec<(Tuple, Option<ProvAction>)>> {
         let instance = self.instances.get_mut(&qid).filter(|i| i.has_pending())?;
         for (rel, field) in instance.replan_once_grown() {
@@ -551,68 +553,26 @@ impl QueryProcessor {
         // head-keyed lookup resolves them too.
         let mut log = instance.prov.is_some().then(FiringLog::new);
         let mut firings: HashMap<Tuple, (u32, Vec<Tuple>)> = HashMap::default();
-        let mut run = |ri: usize, plan: &RuleEval, delta: Option<(usize, &[Tuple])>| {
+        // A rule that fails at evaluation time derives nothing this round
+        // and is counted; the query's other rules carry on.
+        let round = eval::round(compiled.iter().enumerate(), Some(&deltas), |ri, plan, delta| {
             let derived = match log.as_mut() {
                 Some(log) => plan.evaluate_traced(&self.builtins, &source, delta, log),
                 None => plan.evaluate(&self.builtins, &source, delta),
-            };
-            let derived = derived?;
+            }?;
             if let Some(log) = log.as_mut() {
                 for firing in log.firings.drain(..) {
                     firings.insert(firing.head, (ri as u32, firing.body));
                 }
             }
             Ok(derived)
-        };
-        // A rule that fails at evaluation time derives nothing this round
-        // and is counted; the query's other rules carry on.
-        let mut eval_errors = 0;
-
-        let mut derived: Vec<Tuple> = Vec::new();
-        // Recomputed aggregate outputs are forced into the delta set even
-        // when their value is unchanged: the inputs of their group changed
-        // (e.g. a path was poisoned to ∞), so rules consuming the aggregate
-        // must re-join against the updated inputs or they would keep
-        // serving stale results (§8).
-        let mut forced: Vec<Tuple> = Vec::new();
-        for (ri, plan) in compiled.iter().enumerate() {
-            let head = &plan.rule().head;
-            if head.has_aggregate() {
-                // Aggregates are recomputed from the full local table
-                // whenever any of their inputs changed — including negated
-                // body atoms (a delta on a lower-stratum negated relation
-                // changes which rows feed the aggregate).
-                let mut inputs = plan.positive_rels().iter().chain(plan.neg_rels());
-                if !inputs.any(|r| deltas.contains_key(r)) {
-                    continue;
-                }
-                let grouped = run(ri, plan, None)
-                    .and_then(|raw| apply_aggregate(head, plan.head_rel(), &raw));
-                match grouped {
-                    Ok(grouped) => {
-                        forced.extend(grouped.iter().cloned());
-                        derived.extend(grouped);
-                    }
-                    Err(_) => eval_errors += 1,
-                }
-                continue;
-            }
-            for (i, rel) in plan.positive_rels().iter().enumerate() {
-                if let Some(delta) = deltas.get(rel).filter(|d| !d.is_empty()) {
-                    match run(ri, plan, Some((i, delta))) {
-                        Ok(tuples) => derived.extend(tuples),
-                        Err(_) => eval_errors += 1,
-                    }
-                }
-            }
-        }
-
-        self.stats.eval_errors += eval_errors;
+        });
+        self.stats.eval_errors += round.errors.len() as u64;
 
         // Only force a re-join when the tuple is already the stored value
         // (a genuinely new/changed value is routed by the caller and
         // becomes a delta anyway).
-        for tuple in forced {
+        for tuple in round.forced {
             if instance.db.contains(&tuple) {
                 instance.pending.entry(tuple.rel()).or_default().push(tuple);
             }
@@ -621,7 +581,7 @@ impl QueryProcessor {
             let fired = firings.get(&tuple).map(|(ri, body)| ProvAction::Fired(*ri, body.clone()));
             (tuple, fired)
         };
-        Some(derived.into_iter().map(with_firing).collect())
+        Some(round.derived.into_iter().map(with_firing).collect())
     }
 
     fn process_batches(&mut self, ctx: &mut Context<'_, NetMsg>) {

@@ -1,9 +1,10 @@
 //! The centralized fixpoint: a whole program run to completion on one
 //! [`Database`] with stratified semi-naïve evaluation (paper §3.3) and the
-//! aggregate selections of §7.1.
+//! aggregate selections of §7.1, one [`round`] at a time.
 
+use super::round::round;
 use super::RuleEval;
-use crate::ast::{AggFunc, Head, Program, Rule};
+use crate::ast::{Program, Rule};
 use crate::builtins::Builtins;
 use crate::catalog::Catalog;
 use crate::database::Database;
@@ -12,77 +13,13 @@ use crate::stratify::{stratify, Stratification};
 use dr_types::hash::HashMap;
 use dr_types::{Error, RelId, Result, Tuple, Value};
 
-/// Group raw head tuples of an aggregate rule and compute the aggregate.
-///
-/// `head` must contain exactly one aggregate term; plain head positions form
-/// the group-by key. `head_rel` is the head relation's pre-interned id
-/// (compiled plans carry it as [`RuleEval::head_rel`]), so per-batch calls
-/// never touch the intern table.
-pub fn apply_aggregate(head: &Head, head_rel: RelId, raw: &[Tuple]) -> Result<Vec<Tuple>> {
-    let (func, _, agg_pos) = head
-        .aggregate()
-        .ok_or_else(|| Error::eval("apply_aggregate called on a non-aggregate head"))?;
-
-    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::default();
-    for t in raw {
-        let mut key = Vec::with_capacity(t.arity() - 1);
-        for (i, v) in t.fields().iter().enumerate() {
-            if i != agg_pos {
-                key.push(v.clone());
-            }
-        }
-        let agg_val = t
-            .field(agg_pos)
-            .cloned()
-            .ok_or_else(|| Error::eval("aggregate position missing in raw tuple"))?;
-        groups.entry(key).or_default().push(agg_val);
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, values) in groups {
-        let agg_value = match func {
-            AggFunc::Min => values
-                .iter()
-                .cloned()
-                .min_by(|a, b| a.compare_numeric(b))
-                .ok_or_else(|| Error::eval("empty aggregate group"))?,
-            AggFunc::Max => values
-                .iter()
-                .cloned()
-                .max_by(|a, b| a.compare_numeric(b))
-                .ok_or_else(|| Error::eval("empty aggregate group"))?,
-            AggFunc::Count => Value::Int(values.len() as i64),
-            AggFunc::Sum => {
-                let mut acc = dr_types::Cost::ZERO;
-                for v in &values {
-                    acc = acc
-                        + v.as_cost().ok_or_else(|| Error::eval("sum over non-numeric value"))?;
-                }
-                Value::Cost(acc)
-            }
-        };
-        // Reassemble fields in head order.
-        let mut fields = Vec::with_capacity(head.terms.len());
-        let mut key_iter = key.into_iter();
-        for (i, _) in head.terms.iter().enumerate() {
-            if i == agg_pos {
-                fields.push(agg_value.clone());
-            } else {
-                fields
-                    .push(key_iter.next().ok_or_else(|| Error::eval("group key arity mismatch"))?);
-            }
-        }
-        out.push(Tuple::from_rel(head_rel, fields));
-    }
-    Ok(out)
-}
-
 /// Configuration for the centralized evaluator.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
-    /// Use semi-naïve evaluation (true, the default) or naïve re-evaluation
-    /// of every rule each iteration, the reference the semi-naïve mode is
-    /// tested against.
+    /// Use semi-naïve evaluation (true, the default) or naïve mode, which
+    /// runs a full [`round`](super::round()) on every iteration: every rule
+    /// re-evaluated in full. Naïve mode is the reference the semi-naïve
+    /// mode is tested against.
     pub semi_naive: bool,
     /// Enable the aggregate-selections optimization of paper §7.1: tuples
     /// that cannot improve a downstream `min`/`max` aggregate are pruned as
@@ -209,97 +146,59 @@ impl Evaluator {
         let mut best: HashMap<(RelId, Vec<Value>), Value> = HashMap::default();
 
         for stratum_rules in &self.stratification.strata_rules {
-            let rules: Vec<&RuleEval> =
-                stratum_rules.iter().map(|&i| &plans[i]).filter(|c| !c.rule().is_fact()).collect();
-            if rules.is_empty() {
+            let (agg_rules, normal_rules): (Vec<(usize, &RuleEval)>, Vec<_>) = stratum_rules
+                .iter()
+                .map(|&i| (i, &plans[i]))
+                .filter(|(_, c)| !c.rule().is_fact())
+                .partition(|(_, c)| c.rule().head.has_aggregate());
+
+            // Aggregate rules read only lower strata: one full round
+            // evaluates each of them once.
+            let grouped = round(agg_rules, None, |_, plan, delta| {
+                stats.rule_firings += 1;
+                plan.evaluate(&self.builtins, db, delta)
+            });
+            first_error(grouped.errors)?;
+            for t in grouped.derived {
+                if db.insert(t).added {
+                    stats.tuples_derived += 1;
+                }
+            }
+            if normal_rules.is_empty() {
                 continue;
             }
-            let (agg_rules, normal_rules): (Vec<&RuleEval>, Vec<&RuleEval>) =
-                rules.iter().partition(|c| c.rule().head.has_aggregate());
 
-            // Aggregate rules read only lower strata: evaluate once.
-            for plan in &agg_rules {
-                stats.rule_firings += 1;
-                let raw = plan.evaluate(&self.builtins, db, None)?;
-                for t in apply_aggregate(&plan.rule().head, plan.head_rel(), &raw)? {
-                    if db.insert(t).added {
-                        stats.tuples_derived += 1;
+            // Fixpoint over the stratum's ordinary rules: a full round, then
+            // semi-naïve rounds over what the previous one added (naïve
+            // mode: a full round every iteration) until nothing is new.
+            // Each derivation is stored as soon as its rule has run, so
+            // later rules of the same round already join against it.
+            let mut last: Option<HashMap<RelId, Vec<Tuple>>> = None;
+            for iteration in 1.. {
+                let mut delta: HashMap<RelId, Vec<Tuple>> = HashMap::default();
+                let schedule = last.as_ref().filter(|_| self.config.semi_naive);
+                let fired = round(normal_rules.iter().copied(), schedule, |_, plan, d| {
+                    stats.rule_firings += 1;
+                    for t in plan.evaluate(&self.builtins, db, d)? {
+                        self.try_insert(db, t, &mut best, &mut delta, &mut stats);
                     }
+                    Ok(Vec::new())
+                });
+                first_error(fired.errors)?;
+                stats.iterations += 1;
+                if delta.is_empty() {
+                    break;
                 }
+                if iteration >= self.config.max_iterations {
+                    return Err(Error::eval(format!(
+                        "fixpoint did not terminate within {} iterations",
+                        self.config.max_iterations
+                    )));
+                }
+                last = Some(delta);
             }
-
-            // Fixpoint over the stratum's ordinary rules.
-            self.fixpoint(&normal_rules, db, &mut best, &mut stats)?;
         }
         Ok(stats)
-    }
-
-    fn fixpoint(
-        &self,
-        rules: &[&RuleEval],
-        db: &mut Database,
-        best: &mut HashMap<(RelId, Vec<Value>), Value>,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        if rules.is_empty() {
-            return Ok(());
-        }
-        // Which relations are derived by this stratum (candidates for deltas).
-        let stratum_derived: Vec<RelId> = rules.iter().map(|c| c.head_rel()).collect();
-
-        // Iteration 0: evaluate every rule in full.
-        let mut delta: HashMap<RelId, Vec<Tuple>> = HashMap::default();
-        for plan in rules {
-            stats.rule_firings += 1;
-            let derived = plan.evaluate(&self.builtins, db, None)?;
-            for t in derived {
-                self.try_insert(db, t, best, &mut delta, stats);
-            }
-        }
-        stats.iterations += 1;
-
-        // Semi-naïve iterations.
-        let mut iterations = 1usize;
-        while !delta.is_empty() {
-            if iterations >= self.config.max_iterations {
-                return Err(Error::eval(format!(
-                    "fixpoint did not terminate within {} iterations",
-                    self.config.max_iterations
-                )));
-            }
-            iterations += 1;
-            stats.iterations += 1;
-
-            let current_delta = std::mem::take(&mut delta);
-            for plan in rules {
-                if !self.config.semi_naive {
-                    // Naïve mode: re-evaluate the whole rule.
-                    stats.rule_firings += 1;
-                    let derived = plan.evaluate(&self.builtins, db, None)?;
-                    for t in derived {
-                        self.try_insert(db, t, best, &mut delta, stats);
-                    }
-                    continue;
-                }
-                // Semi-naïve: one evaluation per positive occurrence of a
-                // relation that changed this round.
-                for (i, &rel) in plan.positive_rels().iter().enumerate() {
-                    if !stratum_derived.contains(&rel) {
-                        continue;
-                    }
-                    let Some(dt) = current_delta.get(&rel) else { continue };
-                    if dt.is_empty() {
-                        continue;
-                    }
-                    stats.rule_firings += 1;
-                    let derived = plan.evaluate(&self.builtins, db, Some((i, dt)))?;
-                    for t in derived {
-                        self.try_insert(db, t, best, &mut delta, stats);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Insert a derived tuple, honouring aggregate selections; record it in
@@ -352,4 +251,9 @@ impl Evaluator {
         db.insert(t.clone());
         delta.entry(rel).or_default().push(t);
     }
+}
+
+/// The first failure of a round, if any.
+fn first_error(errors: Vec<(usize, Error)>) -> Result<()> {
+    errors.into_iter().next().map_or(Ok(()), |(_, e)| Err(e))
 }

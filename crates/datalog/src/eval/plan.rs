@@ -578,6 +578,33 @@ fn schedule_ready_constraints(
     out
 }
 
+/// The probe value `term` supplies once the `bound` slots are set: its
+/// constant, or the slot of a variable bound earlier. `None` for a variable
+/// that is still unbound.
+fn probe_key(term: &Term, bound: &[bool], slot_of: &HashMap<String, usize>) -> Option<ProbeKey> {
+    match term {
+        Term::Const(c) => Some(ProbeKey::Const(c.clone())),
+        Term::Var(v) => {
+            let slot = slot_of[v.as_str()];
+            bound[slot].then_some(ProbeKey::Slot(slot))
+        }
+    }
+}
+
+/// The first field of `atom` that [`probe_key`] can probe, with its key:
+/// the single-field probe of a positive atom without a bound declared key,
+/// and of every negated atom.
+fn field_probe(
+    atom: &Atom,
+    bound: &[bool],
+    slot_of: &HashMap<String, usize>,
+) -> Option<(usize, ProbeKey)> {
+    atom.terms
+        .iter()
+        .enumerate()
+        .find_map(|(field, term)| probe_key(term, bound, slot_of).map(|k| (field, k)))
+}
+
 /// Compile one positive atom against the frame: choose its probe from the
 /// currently bound slots (a fully-bound declared key beats any single
 /// field — the keyed store yields at most one candidate), emit field ops,
@@ -589,27 +616,16 @@ fn compile_atom(
     slot_of: &HashMap<String, usize>,
     stats: Option<&CardStats>,
 ) -> AtomPlan {
-    let term_key = |term: &Term| match term {
-        Term::Const(c) => Some(ProbeKey::Const(c.clone())),
-        Term::Var(v) => {
-            let slot = slot_of[v.as_str()];
-            bound[slot].then_some(ProbeKey::Slot(slot))
-        }
-    };
     let key_probe = stats.and_then(|s| s.key_of(rel)).and_then(|kf| {
         if kf.is_empty() {
             return None;
         }
         let values: Option<Vec<ProbeKey>> =
-            kf.iter().map(|&f| term_key(atom.terms.get(f)?)).collect();
+            kf.iter().map(|&f| probe_key(atom.terms.get(f)?, bound, slot_of)).collect();
         Some(ProbeSpec::Key { fields: kf.to_vec(), values: values? })
     });
-    let probe = key_probe.or_else(|| {
-        atom.terms
-            .iter()
-            .enumerate()
-            .find_map(|(field, term)| term_key(term).map(|k| ProbeSpec::Field(field, k)))
-    });
+    let probe = key_probe
+        .or_else(|| field_probe(atom, bound, slot_of).map(|(f, k)| ProbeSpec::Field(f, k)));
     let mut checks = Vec::new();
     let mut tests = Vec::new();
     let mut writes = Vec::new();
@@ -730,20 +746,7 @@ impl RuleEval {
             .iter()
             .zip(&neg_rels)
             .map(|(atom, &rel)| {
-                let mut probe = None;
-                for (field, term) in atom.terms.iter().enumerate() {
-                    let key = match term {
-                        Term::Const(c) => Some(ProbeKey::Const(c.clone())),
-                        Term::Var(v) => {
-                            let slot = slot_of[v.as_str()];
-                            bound[slot].then_some(ProbeKey::Slot(slot))
-                        }
-                    };
-                    if let Some(k) = key {
-                        probe = Some((field, k));
-                        break;
-                    }
-                }
+                let probe = field_probe(atom, &bound, &slot_of);
                 let mut ops = Vec::new();
                 for (field, term) in atom.terms.iter().enumerate() {
                     match term {
