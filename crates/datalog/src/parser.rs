@@ -654,9 +654,8 @@ impl Parser {
     fn parse_primary_expr(&mut self) -> Result<Expr> {
         // Function call?
         if let (Some(Tok::Ident(_)), Some(Tok::LParen)) = (self.peek(), self.peek2()) {
-            let name = match self.bump() {
-                Some(Tok::Ident(s)) => s,
-                _ => unreachable!("peeked an identifier"),
+            let Some(Tok::Ident(name)) = self.bump() else {
+                return Err(self.err_here("expected a function name"));
             };
             self.expect(Tok::LParen, "'('")?;
             let mut args = Vec::new();

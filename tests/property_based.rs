@@ -3,11 +3,13 @@
 //! (`FromTuple`) round-trip, the parser round-trip, the equivalence of naïve
 //! and semi-naïve evaluation, the equivalence of compiled (frame-based) and
 //! reference (name-keyed) rule evaluation, the left/right recursion rewrite,
-//! and the aggregate-selections optimization.
+//! the aggregate-selections optimization, and parser totality (no input
+//! panics the parser or the localizer).
 
 use declarative_routing::datalog::eval::EvalConfig;
 use declarative_routing::datalog::rewrite::flip_program_recursion;
 use declarative_routing::datalog::{parse_program, Database, Evaluator};
+use declarative_routing::engine::localize::localize;
 use declarative_routing::protocols::{best_path, network_reachability};
 use declarative_routing::types::{
     Cost, CostEntry, Error, FromTuple, NodeId, PathVector, RouteEntry, Tuple, Value,
@@ -51,6 +53,89 @@ fn link_db(edges: &[(u32, u32, f64)]) -> Database {
     }
     db
 }
+
+/// Whole statements for `parser_and_localizer_never_panic` to combine, so
+/// many of its inputs parse and reach the localizer: the Best-Path rules,
+/// facts, pragmas and queries, and statements that parse but should be
+/// refused later (arity clashes, unbound heads, out-of-range keys, a
+/// remote negation, an unknown function).
+const STATEMENTS: &[&str] = &[
+    "NR1: path(@S,D,P,C) :- link(@S,D,C), P = f_initPath(S,D).",
+    "NR2: path(@S,D,P,C) :- link(@S,Z,C1), path(@Z,D,P2,C2), C = C1 + C2, \
+     P = f_prepend(S,P2), f_inPath(P2,S) = false.",
+    "BPR1: bestPathCost(@S,D,min<C>) :- path(@S,D,P,C).",
+    "BPR2: bestPath(@S,D,P,C) :- bestPathCost(@S,D,C), path(@S,D,P,C).",
+    "hops(@S,count<D>) :- path(@S,D,P,C).",
+    "total(@S,sum<C>) :- link(@S,D,C).",
+    "r(@X,Y) :- s(@X,Y), !t(@Y,_).",
+    "r(@X,Y) :- s(@Y,X).",
+    "q(@X,Z) :- s(@X,Y), Z = f_nope(Y).",
+    "p(@X).",
+    "path(@a,b).",
+    "magicSources(#2).",
+    "#key(path, 0, 1).",
+    "#key(path, 9).",
+    "#key(s).",
+    "Query: bestPath(@S,D,P,C).",
+    "Query: r(@X,Y).",
+    "% comment\n",
+    "\n",
+];
+
+/// Fragments of program text spliced into the statements at random: single
+/// tokens and the lexer's edge cases — escapes, `%` and `//` comments
+/// against `/* */` (which the dialect does not have), nested and
+/// unterminated block comments, unterminated strings, out-of-range
+/// literals, stray `@`, `:-`, `.` and `#`.
+const FRAGMENTS: &[&str] = &[
+    "path",
+    "link",
+    "f_initPath",
+    "min<",
+    "count<",
+    "S",
+    "_",
+    "(",
+    ")",
+    ",",
+    ".",
+    ":-",
+    ":",
+    "@",
+    "!",
+    "=",
+    "!=",
+    "<",
+    ">=",
+    "+",
+    "-",
+    "*",
+    "/",
+    "#",
+    "#key",
+    "#4294967296",
+    "99999999999999999999",
+    "1.5",
+    "1.",
+    "infinity",
+    "nil",
+    "Query:",
+    "\"str\"",
+    "\"esc\\\"aped\"",
+    "\"\\n\\t\\u{0}\"",
+    "\"unterminated",
+    "% prolog comment\n",
+    "%",
+    "// line comment\n",
+    "//",
+    "/* block */",
+    "/* outer /* nested */ still */",
+    "/* unterminated",
+    "*/",
+    "é",
+    " ",
+    "\n",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -335,5 +420,30 @@ proptest! {
         fields.push(Value::Int(0));
         let widened = Tuple::new("bestPathCost", fields);
         prop_assert!(matches!(CostEntry::from_tuple(&widened), Err(Error::Decode(_))));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `parse_program` is total: any mix of statements and fragments parses
+    /// or returns a parse error, and a program that parses localizes or
+    /// returns an error, never a panic.
+    #[test]
+    fn parser_and_localizer_never_panic(
+        statements in prop::collection::vec(0usize..STATEMENTS.len(), 0..8),
+        soup in prop::collection::vec(0usize..FRAGMENTS.len(), 0..6),
+        at in 0usize..16,
+    ) {
+        let soup: String = soup.iter().map(|&i| FRAGMENTS[i]).collect();
+        let mut parts: Vec<&str> = statements.iter().map(|&i| STATEMENTS[i]).collect();
+        // Half the cases splice the soup in at a statement boundary; the
+        // rest are whole statements only.
+        if at < 8 {
+            parts.insert(at.min(parts.len()), &soup);
+        }
+        if let Ok(program) = parse_program(&parts.concat()) {
+            let _ = localize(&program, &[]);
+        }
     }
 }
