@@ -1,13 +1,14 @@
-//! One function per figure / table of the paper's evaluation (§9).
+//! One function per experiment of the paper's evaluation (§9).
 //!
 //! Every experiment is a declarative scenario — a
 //! [`dr_core::scenario::ScenarioBuilder`] chain composing the topology, the
 //! event timeline (query streams, churn, link-RTT dynamics), and the typed
 //! probes the figure plots — so a new experiment is one builder chain, not
 //! a new hand-driven sampling loop. Every function returns printable
-//! [`Series`] or rows and is wrapped by a thin binary in `src/bin/`.
-//! Scales default to a laptop-friendly "quick" configuration; `DR_FULL=1`
-//! switches to the paper's parameters.
+//! [`Series`] or rows and is wrapped by a thin binary in `src/bin/`, which
+//! prints every figure and table built from that experiment's runs; no
+//! simulation runs twice. Scales default to a laptop-friendly "quick"
+//! configuration; `DR_FULL=1` switches to the paper's parameters.
 
 use crate::runner::{
     average_link_rtt, full_scale, route_cost_map, run_best_path_query, run_path_vector_baseline,
@@ -84,9 +85,6 @@ pub fn fig06_convergence() -> Vec<Series> {
 /// Strategy for executing a stream of source/destination route requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairStrategy {
-    /// One all-pairs Best-Path query serves every request (the "All Pairs"
-    /// baseline line).
-    AllPairs,
     /// One Best-Path-Pairs query per request, no sharing.
     NoShare,
     /// One Best-Path-Pairs-Share query per request, sharing results through
@@ -98,7 +96,6 @@ impl PairStrategy {
     /// Label used in figure output.
     pub fn label(self) -> &'static str {
         match self {
-            PairStrategy::AllPairs => "All Pairs",
             PairStrategy::NoShare => "Pair-NoShare",
             PairStrategy::Share => "Pair-Share",
         }
@@ -163,25 +160,21 @@ fn checkpoint_series(name: &str, overhead: &[(f64, f64)], checkpoint_every: usiz
     series
 }
 
+/// The "All Pairs" line: one all-pairs query serves every request, so its
+/// overhead does not depend on how many requests it serves and the series
+/// is flat at `kb` on every checkpoint of `params`.
+fn all_pairs_series(kb: f64, params: &PairStreamParams) -> Series {
+    let mut series = Series::new("All Pairs");
+    for q in (params.checkpoint_every..=params.queries).step_by(params.checkpoint_every) {
+        series.push(q as f64, kb);
+    }
+    series
+}
+
 /// Run a stream of pair queries under `strategy` and return the cumulative
 /// per-node overhead (KB) after every checkpoint.
 pub fn run_pair_stream(strategy: PairStrategy, params: &PairStreamParams) -> Series {
     let topo = TransitStubParams::sized(params.nodes, params.seed).generate();
-
-    if strategy == PairStrategy::AllPairs {
-        // One all-pairs query; its overhead is independent of how many
-        // requests it serves, so the series is flat.
-        let horizon = SimTime::from_secs(if full_scale() { 120 } else { 90 });
-        let outcome = run_best_path_query(topo, horizon, SimDuration::from_secs(1));
-        let mut series = Series::new(strategy.label());
-        let mut q = params.checkpoint_every;
-        while q <= params.queries {
-            series.push(q as f64, outcome.per_node_kb);
-            q += params.checkpoint_every;
-        }
-        return series;
-    }
-
     let mut workload = PairWorkload::with_destination_fraction(
         params.nodes,
         params.destination_fraction,
@@ -198,7 +191,6 @@ pub fn run_pair_stream(strategy: PairStrategy, params: &PairStreamParams) -> Ser
                 .named(format!("pair-share-{q}"))
                 .replicated(["magicDsts"])
                 .sharing(true),
-            PairStrategy::AllPairs => unreachable!("handled above"),
         };
         defs.push(def.from(src).at(SimTime::ZERO + params.spacing.times(q as u64 - 1)));
     }
@@ -212,57 +204,56 @@ pub fn run_pair_stream(strategy: PairStrategy, params: &PairStreamParams) -> Ser
     checkpoint_series(strategy.label(), &report.overhead_series, params.checkpoint_every)
 }
 
-/// Figure 7: per-node communication overhead vs number of requests for the
-/// three strategies.
-pub fn fig07_overhead() -> Vec<Series> {
+/// Figures 7, 8 and 9, returned as `(fig07, fig08, fig09)`. Each distinct
+/// stream runs once and feeds every figure that plots it.
+///
+/// - Fig. 7: per-node overhead vs number of requests for All-Pairs,
+///   Pair-NoShare and Pair-Share.
+/// - Fig. 8: the sharing strategy over a longer stream with progressively
+///   restricted destination pools (all destinations, 20%, 1% in the paper;
+///   20% and 5% at quick scale), plus the All-Pairs reference. Its
+///   All-Pairs line is Fig. 7's run: same topology and horizon, only the
+///   checkpoints differ. Its Pair-Share streams run on their own: the
+///   120-query stream's overhead at query 60 (107.579 KB at quick scale) is
+///   not the 60-query stream's (107.569 KB).
+/// - Fig. 9: the mixed-metric workload (65% latency + three other metrics),
+///   with and without the mid-stream switch to a single metric (Mix2),
+///   against Fig. 7's Pair-NoShare and Pair-Share streams.
+pub fn pair_streams() -> (Vec<Series>, Vec<Series>, Vec<Series>) {
     let params = PairStreamParams::default();
-    vec![
-        run_pair_stream(PairStrategy::AllPairs, &params),
-        run_pair_stream(PairStrategy::NoShare, &params),
-        run_pair_stream(PairStrategy::Share, &params),
-    ]
-}
+    let topo = TransitStubParams::sized(params.nodes, params.seed).generate();
+    let horizon = SimTime::from_secs(if full_scale() { 120 } else { 90 });
+    let all_pairs_kb = run_best_path_query(topo, horizon, SimDuration::from_secs(1)).per_node_kb;
+    let no_share = run_pair_stream(PairStrategy::NoShare, &params);
+    let share = run_pair_stream(PairStrategy::Share, &params);
+    let fig07 = vec![all_pairs_series(all_pairs_kb, &params), no_share.clone(), share.clone()];
 
-/// Figure 8: the sharing strategy with progressively restricted destination
-/// pools (all destinations, 20%, 1% in the paper; 20% and 5% at quick
-/// scale), plus the All-Pairs reference.
-pub fn fig08_overhead_restricted() -> Vec<Series> {
-    let base = PairStreamParams {
+    let long = PairStreamParams {
         queries: if full_scale() { 2000 } else { 120 },
         checkpoint_every: if full_scale() { 100 } else { 20 },
-        ..PairStreamParams::default()
+        ..params.clone()
     };
     let fractions: Vec<(f64, &str)> = if full_scale() {
         vec![(1.0, "Pair-Share"), (0.2, "Pair-Share (20% Dst)"), (0.01, "Pair-Share (1% Dst)")]
     } else {
         vec![(1.0, "Pair-Share"), (0.2, "Pair-Share (20% Dst)"), (0.05, "Pair-Share (5% Dst)")]
     };
-    let mut out = vec![run_pair_stream(PairStrategy::AllPairs, &base)];
+    let mut fig08 = vec![all_pairs_series(all_pairs_kb, &long)];
     for (fraction, label) in fractions {
-        let params = PairStreamParams { destination_fraction: fraction, ..base.clone() };
+        let params = PairStreamParams { destination_fraction: fraction, ..long.clone() };
         let mut series = run_pair_stream(PairStrategy::Share, &params);
         series.name = label.to_string();
-        out.push(series);
+        fig08.push(series);
     }
-    out
-}
 
-/// Figure 9: the mixed-metric workload (65% latency + three other metrics),
-/// with and without the mid-stream switch to a single metric (Mix2), against
-/// the no-sharing and full-sharing single-metric references.
-pub fn fig09_mixed_workload() -> Vec<Series> {
-    let params = PairStreamParams::default();
-    let mut out = vec![
-        run_pair_stream(PairStrategy::NoShare, &params),
-        run_pair_stream(PairStrategy::Share, &params),
-    ];
+    let mut fig09 = vec![no_share, share];
     for (label, switch) in [
         ("Pair-Share-Mix", None),
         ("Pair-Share-Mix2", Some(if full_scale() { 150 } else { params.queries / 2 })),
     ] {
-        out.push(run_mixed_stream(label, switch, &params));
+        fig09.push(run_mixed_stream(label, switch, &params));
     }
-    out
+    (fig07, fig08, fig09)
 }
 
 fn run_mixed_stream(label: &str, switch: Option<usize>, params: &PairStreamParams) -> Series {
@@ -377,7 +368,8 @@ pub fn fig10_11_planetlab() -> (Vec<Series>, Vec<Series>) {
 // Figures 12/13 and Table 3 — path adaptation under RTT fluctuation
 // ---------------------------------------------------------------------------
 
-/// Result of one adaptation run (Fig. 12 or 13 plus its Table 3 row).
+/// Result of one adaptation run: one Table 3 row, and for Dense-Random also
+/// the series of Fig. 12 (raw) or Fig. 13 (smoothed).
 #[derive(Debug, Clone)]
 pub struct AdaptationOutcome {
     /// AvgPathRTT over time.
@@ -437,6 +429,7 @@ pub fn adaptation_experiment(kind: OverlayKind, smoothed: bool, seed: u64) -> Ad
 }
 
 /// Table 3: the four stability rows (Sparse/Dense random, raw and smoothed).
+/// The Dense-Random runs' series are Figures 12 (raw) and 13 (smoothed).
 pub fn tab03_stability() -> Vec<AdaptationOutcome> {
     let mut rows = Vec::new();
     for kind in [OverlayKind::SparseRandom, OverlayKind::DenseRandom] {
@@ -519,17 +512,14 @@ pub fn churn_experiment(kind: OverlayKind, fraction: f64, seed: u64) -> ChurnOut
     }
 }
 
-/// Figure 14 (and the close-up of Figure 15): AvgPathRTT under churn for
-/// three failure fractions on the Dense-UUNET overlay.
-pub fn fig14_15_churn() -> Vec<ChurnOutcome> {
-    let fractions: Vec<f64> = if full_scale() { vec![0.05, 0.1, 0.2] } else { vec![0.1, 0.2] };
-    fractions.into_iter().map(|f| churn_experiment(OverlayKind::DenseUunet, f, 77)).collect()
-}
-
-/// Table 4: recovery statistics for the same runs (plus the Dense-Random
-/// comparison the paper describes in prose).
+/// Table 4: recovery statistics under churn for several failure fractions
+/// on the Dense-UUNET overlay, whose AvgPathRTT curves are Figure 14 (and
+/// the close-up of Figure 15), plus the Dense-Random comparison the paper
+/// describes in prose.
 pub fn tab04_recovery() -> Vec<ChurnOutcome> {
-    let mut rows = fig14_15_churn();
+    let fractions: &[f64] = if full_scale() { &[0.05, 0.1, 0.2] } else { &[0.1, 0.2] };
+    let mut rows: Vec<ChurnOutcome> =
+        fractions.iter().map(|&f| churn_experiment(OverlayKind::DenseUunet, f, 77)).collect();
     rows.push(churn_experiment(OverlayKind::DenseRandom, 0.1, 78));
     rows
 }
@@ -737,7 +727,7 @@ mod tests {
 
     #[test]
     fn pair_strategy_labels() {
-        assert_eq!(PairStrategy::AllPairs.label(), "All Pairs");
+        assert_eq!(all_pairs_series(1.0, &PairStreamParams::default()).name, "All Pairs");
         assert_eq!(PairStrategy::NoShare.label(), "Pair-NoShare");
         assert_eq!(PairStrategy::Share.label(), "Pair-Share");
     }

@@ -1,8 +1,9 @@
 //! # dr-bench
 //!
 //! The experiment harness that regenerates every figure and table of the
-//! paper's evaluation (§9). Each binary in `src/bin/` reproduces one figure
-//! or table and prints its data series as a small CSV-like table. The
+//! paper's evaluation (§9). Each binary in `src/bin/` runs one experiment,
+//! running each of its simulations once, and prints the data series of
+//! every figure and table built from it as small CSV-like tables. The
 //! quick-scale output of every binary is pinned byte for byte under
 //! `golden/` and checked by `golden.sh`.
 //!

@@ -289,13 +289,15 @@ fn builder_records_the_canonical_spec() {
 
 #[test]
 fn a_rule_failing_at_evaluation_is_counted_and_spares_the_other_rules() {
-    // The extra rule calls a function no node registers: every
-    // evaluation of it fails, which used to vanish without a trace —
-    // at one site for plain rules, at another for aggregates.
+    // The extra rule adds two node addresses: every evaluation of it fails
+    // on the operand types, which used to vanish without a trace — at one
+    // site for plain rules, at another for aggregates.
+    let program = |extra_rule: &str| {
+        parse_program(&BEST_PATH.replace("Query:", &format!("{extra_rule}\n Query:"))).unwrap()
+    };
     let outcome = |extra_rule: &str| {
-        let source = BEST_PATH.replace("Query:", &format!("{extra_rule}\n Query:"));
         let mut harness = RoutingHarness::new(line_topology(4));
-        let handle = harness.issue(parse_program(&source).unwrap()).submit().unwrap();
+        let handle = harness.issue(program(extra_rule)).submit().unwrap();
         harness.run_until(SimTime::from_secs(30));
         let mut routes = handle.raw_results(&harness);
         routes.sort();
@@ -305,13 +307,19 @@ fn a_rule_failing_at_evaluation_is_counted_and_spares_the_other_rules() {
     assert_eq!(healthy.0.len(), 12); // 4*3 ordered pairs
     assert_eq!(healthy.1, 0);
     for bad_rule in [
-        "BAD: broken(@S,D,X) :- link(@S,D,C), X = f_noSuchFunction(S,D).",
-        "BAD: worst(@S,max<X>) :- link(@S,D,C), X = f_noSuchFunction(S,D).",
+        "BAD: broken(@S,D,X) :- link(@S,D,C), X = S + D.",
+        "BAD: worst(@S,max<X>) :- link(@S,D,C), X = S + D.",
     ] {
         let failing = outcome(bad_rule);
         assert_eq!(healthy.0, failing.0, "the healthy rules' results are unaffected");
         assert!(failing.1 > 0, "the failing rule's evaluations are counted: {bad_rule}");
     }
+    // A call to a function no node registers fails on every evaluation, so
+    // it is refused at the door instead.
+    let mut harness = RoutingHarness::new(line_topology(4));
+    let unknown = "BAD: broken(@S,D,X) :- link(@S,D,C), X = f_noSuchFunction(S,D).";
+    let err = harness.issue(program(unknown)).submit().unwrap_err();
+    assert!(matches!(err, dr_types::Error::Planning(_)), "{err}");
 }
 
 #[test]

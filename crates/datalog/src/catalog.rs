@@ -8,9 +8,11 @@
 //! * its **primary key** (the paper's "unique key", used for keyed upserts
 //!   during incremental maintenance, §8).
 
-use crate::ast::Program;
+use crate::ast::{Expr, Literal, Program};
+use crate::builtins::Builtins;
 use dr_types::hash::HashMap;
 use dr_types::{Error, RelId, Result};
+use std::sync::OnceLock;
 
 /// Schema information for one relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,8 +109,12 @@ impl Catalog {
     /// `#key(...)` pragmas.
     ///
     /// Conflicting location annotations for the same relation are an error —
-    /// the paper stores each relation at exactly one address attribute.
+    /// the paper stores each relation at exactly one address attribute. So
+    /// are a call to a function outside [`Builtins::standard`] and a rule
+    /// without a body whose head is not ground. Both engines build their
+    /// catalog here, so they accept the same programs.
     pub fn from_program(program: &Program) -> Result<Catalog> {
+        admit(program)?;
         let mut cat = Catalog::new();
         let derived = program.derived_relations();
 
@@ -228,6 +234,49 @@ impl Catalog {
     }
 }
 
+/// Refuse, once per program, what neither engine could run: a call to a
+/// function outside the standard builtins (no engine registers others, so
+/// every evaluation of the rule would fail), and a body-less rule whose head
+/// is not ground (no engine can derive a tuple from it).
+fn admit(program: &Program) -> Result<()> {
+    static STANDARD: OnceLock<Builtins> = OnceLock::new();
+    let standard = STANDARD.get_or_init(Builtins::standard);
+    fn calls_known(expr: &Expr, standard: &Builtins) -> Result<()> {
+        match expr {
+            Expr::Term(_) => Ok(()),
+            Expr::Call { func, args } => {
+                if !standard.contains(func) {
+                    return Err(Error::planning(format!("unknown function {func}")));
+                }
+                args.iter().try_for_each(|a| calls_known(a, standard))
+            }
+            Expr::BinOp { lhs, rhs, .. } => {
+                calls_known(lhs, standard)?;
+                calls_known(rhs, standard)
+            }
+        }
+    }
+    for rule in &program.rules {
+        if rule.body.is_empty() && !rule.is_fact() {
+            return Err(Error::planning(format!(
+                "{}: a rule without a body must have a ground head",
+                rule.head
+            )));
+        }
+        for lit in &rule.body {
+            match lit {
+                Literal::Atom(_) | Literal::NegAtom(_) => {}
+                Literal::Compare { lhs, rhs, .. } => {
+                    calls_known(lhs, standard)?;
+                    calls_known(rhs, standard)?;
+                }
+                Literal::Assign { expr, .. } => calls_known(expr, standard)?,
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +334,19 @@ mod tests {
         "#;
         let p = parse_program(bad).unwrap();
         assert!(Catalog::from_program(&p).is_err());
+    }
+
+    #[test]
+    fn unknown_functions_and_open_facts_are_refused() {
+        for bad in
+            ["q(@X,Z) :- s(@X,Y), Z = f_nope(Y).", "q(@X) :- s(@X,Y), f_nope(Y) = 1.", "p(@X)."]
+        {
+            let p = parse_program(bad).unwrap();
+            let err = Catalog::from_program(&p).unwrap_err();
+            assert!(matches!(err, Error::Planning(_)), "{bad}: {err}");
+        }
+        let ok = parse_program("p(@#1). q(@X,Z) :- s(@X,Y), Z = f_size(f_initPath(X,Y)).");
+        assert!(Catalog::from_program(&ok.unwrap()).is_ok());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 
 use declarative_routing::datalog::eval::EvalConfig;
 use declarative_routing::datalog::rewrite::flip_program_recursion;
-use declarative_routing::datalog::{parse_program, Database, Evaluator};
+use declarative_routing::datalog::{
+    parse_program, Builtins, Database, Evaluator, Expr, Literal, Program,
+};
 use declarative_routing::engine::localize::localize;
 use declarative_routing::protocols::{best_path, network_reachability};
 use declarative_routing::types::{
@@ -428,7 +430,8 @@ proptest! {
 
     /// `parse_program` is total: any mix of statements and fragments parses
     /// or returns a parse error, and a program that parses localizes or
-    /// returns an error, never a panic.
+    /// returns an error, never a panic. A program that localizes calls only
+    /// standard builtins and has no body-less rule with a non-ground head.
     #[test]
     fn parser_and_localizer_never_panic(
         statements in prop::collection::vec(0usize..STATEMENTS.len(), 0..8),
@@ -443,7 +446,46 @@ proptest! {
             parts.insert(at.min(parts.len()), &soup);
         }
         if let Ok(program) = parse_program(&parts.concat()) {
-            let _ = localize(&program, &[]);
+            if localize(&program, &[]).is_ok() {
+                // Localizing is the door: what it lets through calls only
+                // standard builtins, and every body-less rule is a fact.
+                let standard = Builtins::standard();
+                for func in called_functions(&program) {
+                    prop_assert!(standard.contains(func), "{func} passed the door");
+                }
+                for rule in program.rules.iter().filter(|r| r.body.is_empty()) {
+                    prop_assert!(rule.is_fact(), "{rule} passed the door");
+                }
+            }
         }
     }
+}
+
+/// Every function name a program's rules call, nested calls included.
+fn called_functions(program: &Program) -> Vec<&str> {
+    fn walk<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
+        match expr {
+            Expr::Term(_) => {}
+            Expr::Call { func, args } => {
+                out.push(func);
+                args.iter().for_each(|a| walk(a, out));
+            }
+            Expr::BinOp { lhs, rhs, .. } => {
+                walk(lhs, out);
+                walk(rhs, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for lit in program.rules.iter().flat_map(|r| &r.body) {
+        match lit {
+            Literal::Atom(_) | Literal::NegAtom(_) => {}
+            Literal::Compare { lhs, rhs, .. } => {
+                walk(lhs, &mut out);
+                walk(rhs, &mut out);
+            }
+            Literal::Assign { expr, .. } => walk(expr, &mut out),
+        }
+    }
+    out
 }
